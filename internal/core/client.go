@@ -37,9 +37,9 @@ type ClientConfig struct {
 	// RequestTimeout bounds one call attempt (ListUnits, StartSession,
 	// EndSession). Zero means 300ms.
 	RequestTimeout time.Duration
-	// Retries is how many times calls are retried after a timeout (each
-	// retry re-resolves group membership, so a crashed responder is
-	// bypassed). Zero means 3.
+	// Retries is how many times calls are retried after a timeout (a retry
+	// drops the cached group membership and resolves it afresh, so a
+	// crashed responder is bypassed). Zero means 3.
 	Retries int
 	// OnResponseFrom, if set, observes every response's transport-level
 	// source before it is dispatched to the session handler. The
@@ -61,7 +61,7 @@ const (
 	mSends      = "client.sends"       // session Send invocations
 	mRetries    = "client.retries"     // extra call attempts after an attempt timeout
 	mTimeouts   = "client.timeouts"    // calls that exhausted retries (ErrTimeout)
-	mReresolves = "client.re_resolves" // membership cache invalidations forcing a re-resolve
+	mReresolves = "client.re_resolves" // membership cache invalidations (call retries) forcing a re-resolve
 	mResponses  = "client.responses"   // session responses delivered
 	mSendErrors = "client.send_errors" // group sends that failed outright (no servers)
 )
@@ -79,7 +79,9 @@ type ClientStats struct {
 	// Timeouts counts calls that exhausted their retries (ErrTimeout).
 	Timeouts uint64 `json:"timeouts"`
 	// Reresolves counts membership cache invalidations, each forcing the
-	// next group send to re-ask a bootstrap server for the membership.
+	// next group send to wait for a bootstrap server's answer. Only retried
+	// calls invalidate; session sends never do, and the background
+	// refreshes of an aging membership are not counted here.
 	Reresolves uint64 `json:"re_resolves"`
 	// Responses counts session responses delivered to handlers.
 	Responses uint64 `json:"responses"`
@@ -97,6 +99,9 @@ type Client struct {
 	g   *gcs.Client
 	reg *metrics.Registry
 	clk clock.Clock
+	// Counter handles, looked up once: the request path increments them
+	// per message.
+	calls, sends, retries, timeouts, reresolves, responses, sendErrors *metrics.Counter
 
 	mu        sync.Mutex
 	unitWait  []chan UnitList
@@ -113,13 +118,21 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Retries == 0 {
 		cfg.Retries = 3
 	}
+	reg := metrics.NewRegistry()
 	c := &Client{
-		cfg:       cfg,
-		reg:       metrics.NewRegistry(),
-		clk:       clock.OrReal(cfg.Clock),
-		startWait: make(map[ids.UnitName][]chan SessionStarted),
-		endWait:   make(map[ids.SessionID][]chan struct{}),
-		sessions:  make(map[ids.SessionID]*ClientSession),
+		cfg:        cfg,
+		reg:        reg,
+		clk:        clock.OrReal(cfg.Clock),
+		calls:      reg.Counter(mCalls),
+		sends:      reg.Counter(mSends),
+		retries:    reg.Counter(mRetries),
+		timeouts:   reg.Counter(mTimeouts),
+		reresolves: reg.Counter(mReresolves),
+		responses:  reg.Counter(mResponses),
+		sendErrors: reg.Counter(mSendErrors),
+		startWait:  make(map[ids.UnitName][]chan SessionStarted),
+		endWait:    make(map[ids.SessionID][]chan struct{}),
+		sessions:   make(map[ids.SessionID]*ClientSession),
 	}
 	g, err := gcs.NewClient(gcs.ClientConfig{
 		Self:      cfg.Self,
@@ -150,20 +163,21 @@ func (c *Client) Metrics() *metrics.Registry { return c.reg }
 // Stats snapshots the client's request-path counters.
 func (c *Client) Stats() ClientStats {
 	return ClientStats{
-		Calls:      c.reg.Counter(mCalls).Value(),
-		Sends:      c.reg.Counter(mSends).Value(),
-		Retries:    c.reg.Counter(mRetries).Value(),
-		Timeouts:   c.reg.Counter(mTimeouts).Value(),
-		Reresolves: c.reg.Counter(mReresolves).Value(),
-		Responses:  c.reg.Counter(mResponses).Value(),
-		SendErrors: c.reg.Counter(mSendErrors).Value(),
+		Calls:      c.calls.Value(),
+		Sends:      c.sends.Value(),
+		Retries:    c.retries.Value(),
+		Timeouts:   c.timeouts.Value(),
+		Reresolves: c.reresolves.Value(),
+		Responses:  c.responses.Value(),
+		SendErrors: c.sendErrors.Value(),
 	}
 }
 
-// invalidate drops the cached membership for g, counting the re-resolve
-// the next send will perform.
+// invalidate drops the cached membership for g after a call to it timed
+// out (it may be why nobody answered), counting the blocking re-resolve
+// the next send to g will perform.
 func (c *Client) invalidate(g ids.GroupName) {
-	c.reg.Counter(mReresolves).Inc()
+	c.reresolves.Inc()
 	c.g.Invalidate(g)
 }
 
@@ -206,7 +220,7 @@ func (c *Client) onMessage(from ids.EndpointID, m wire.Message) {
 		}
 	case Response:
 		c.noteArrival("client.response", msg.TC)
-		c.reg.Counter(mResponses).Inc()
+		c.responses.Inc()
 		if c.cfg.OnResponseFrom != nil {
 			c.cfg.OnResponseFrom(from, msg.Session, msg.Seq, msg.Body)
 		}
@@ -214,6 +228,9 @@ func (c *Client) onMessage(from ids.EndpointID, m wire.Message) {
 		sess := c.sessions[msg.Session]
 		c.mu.Unlock()
 		if sess != nil {
+			if p, ok := from.Process(); ok {
+				c.g.Observe(sess.Group, p)
+			}
 			sess.deliver(msg.Seq, msg.Body)
 		}
 	}
@@ -231,25 +248,25 @@ func (c *Client) noteArrival(name string, tc wire.TraceContext) {
 
 // ListUnits asks the service group for the available content units.
 func (c *Client) ListUnits() ([]UnitInfo, error) {
-	c.reg.Counter(mCalls).Inc()
+	c.calls.Inc()
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
-			c.reg.Counter(mRetries).Inc()
+			c.retries.Inc()
+			c.invalidate(ServiceGroup)
 		}
 		ch := make(chan UnitList, 1)
 		c.mu.Lock()
 		c.unitWait = append(c.unitWait, ch)
 		c.mu.Unlock()
-		c.invalidate(ServiceGroup)
 		if err := c.g.SendToGroup(ServiceGroup, ListUnits{}); err != nil {
-			c.reg.Counter(mSendErrors).Inc()
+			c.sendErrors.Inc()
 			return nil, err
 		}
 		if ul, ok := waitx.RecvC(c.clk, ch, c.cfg.RequestTimeout); ok {
 			return ul.Units, nil
 		}
 	}
-	c.reg.Counter(mTimeouts).Inc()
+	c.timeouts.Inc()
 	return nil, fmt.Errorf("%w: ListUnits", ErrTimeout)
 }
 
@@ -279,24 +296,29 @@ func (c *Client) WaitUnit(unit ids.UnitName, replicas int, timeout time.Duration
 // StartSession opens a session on a content unit. The handler receives the
 // session's response stream; it may be nil for request-free probing.
 func (c *Client) StartSession(unit ids.UnitName, h ResponseHandler) (*ClientSession, error) {
-	c.reg.Counter(mCalls).Inc()
+	c.calls.Inc()
 	tc := c.cfg.Obs.RootContext()
 	t0 := c.clk.Now()
 	defer c.cfg.Obs.RecordSpan("client.start-session", tc, t0)
+	group := ContentGroup(unit)
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
-			c.reg.Counter(mRetries).Inc()
+			c.retries.Inc()
+			c.invalidate(group)
 		}
 		ch := make(chan SessionStarted, 1)
 		c.mu.Lock()
 		c.startWait[unit] = append(c.startWait[unit], ch)
 		c.mu.Unlock()
-		c.invalidate(ContentGroup(unit))
-		if err := c.g.SendToGroupTC(ContentGroup(unit), StartSession{Unit: unit}, tc); err != nil {
-			c.reg.Counter(mSendErrors).Inc()
+		if err := c.g.SendToGroupTC(group, StartSession{Unit: unit}, tc); err != nil {
+			c.sendErrors.Inc()
 			return nil, fmt.Errorf("start session on %s: %w", unit, err)
 		}
 		if st, ok := waitx.RecvC(c.clk, ch, c.cfg.RequestTimeout); ok {
+			// The reply names the session group's members, so the first
+			// Send resolves nothing (a reply without them costs that Send
+			// one blocking resolve).
+			c.g.Learn(st.Group, st.Members)
 			sess := &ClientSession{
 				c:     c,
 				ID:    st.Session,
@@ -311,7 +333,8 @@ func (c *Client) StartSession(unit ids.UnitName, h ResponseHandler) (*ClientSess
 		}
 		c.dropStartWaiter(unit, ch)
 	}
-	c.reg.Counter(mTimeouts).Inc()
+	c.timeouts.Inc()
+	c.invalidate(group) // the last attempt's membership did not work either
 	return nil, fmt.Errorf("%w: StartSession(%s)", ErrTimeout, unit)
 }
 
@@ -363,15 +386,21 @@ func (s *ClientSession) deliver(seq uint64, body wire.Message) {
 
 // Send transmits one context update / request into the session group. The
 // GCS's open-group machinery delivers it to the primary and every backup
-// regardless of membership changes.
+// regardless of membership changes: the copies go to the members the
+// client last learned of (from the session-start reply, then refreshed in
+// the background as the entry ages or a stranger answers), and whichever
+// server receives one brings it into the group's total order. Send waits
+// for no server; it resolves the group first only when the client knows
+// nothing of it.
+//
+//hafw:hotpath
 func (s *ClientSession) Send(body wire.Message) error {
-	s.c.reg.Counter(mSends).Inc()
+	s.c.sends.Inc()
 	tc := s.c.cfg.Obs.RootContext()
 	t0 := s.c.clk.Now()
-	s.c.invalidate(s.Group)
 	err := s.c.g.SendToGroupTC(s.Group, ClientRequest{Session: s.ID, Body: body}, tc)
 	if err != nil {
-		s.c.reg.Counter(mSendErrors).Inc()
+		s.c.sendErrors.Inc()
 	}
 	s.c.cfg.Obs.RecordSpan("client.request", tc, t0)
 	return err
@@ -381,22 +410,22 @@ func (s *ClientSession) Send(body wire.Message) error {
 // (best-effort: after retries the session is dropped locally regardless,
 // and the server's idle timeout eventually collects it).
 func (s *ClientSession) End() error {
-	s.c.reg.Counter(mCalls).Inc()
+	s.c.calls.Inc()
 	tc := s.c.cfg.Obs.RootContext()
 	t0 := s.c.clk.Now()
 	defer s.c.cfg.Obs.RecordSpan("client.end-session", tc, t0)
 	var err error
 	for attempt := 0; attempt <= s.c.cfg.Retries; attempt++ {
 		if attempt > 0 {
-			s.c.reg.Counter(mRetries).Inc()
+			s.c.retries.Inc()
+			s.c.invalidate(s.Group)
 		}
 		ch := make(chan struct{})
 		s.c.mu.Lock()
 		s.c.endWait[s.ID] = append(s.c.endWait[s.ID], ch)
 		s.c.mu.Unlock()
-		s.c.invalidate(s.Group)
 		if err = s.c.g.SendToGroupTC(s.Group, EndSession{Session: s.ID}, tc); err != nil {
-			s.c.reg.Counter(mSendErrors).Inc()
+			s.c.sendErrors.Inc()
 			break
 		}
 		if _, ok := waitx.RecvC(s.c.clk, ch, s.c.cfg.RequestTimeout); ok {
@@ -406,12 +435,13 @@ func (s *ClientSession) End() error {
 		err = fmt.Errorf("%w: EndSession(%d)", ErrTimeout, s.ID)
 	}
 	if err != nil && errors.Is(err, ErrTimeout) {
-		s.c.reg.Counter(mTimeouts).Inc()
+		s.c.timeouts.Inc()
 	}
 done:
 	s.c.mu.Lock()
 	delete(s.c.sessions, s.ID)
 	delete(s.c.endWait, s.ID)
 	s.c.mu.Unlock()
+	s.c.g.Forget(s.Group)
 	return err
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hafw/internal/ids"
+	"hafw/internal/metrics"
 	"hafw/internal/testutil"
 	"hafw/internal/transport/memnet"
 	"hafw/internal/wire"
@@ -186,9 +187,17 @@ type world struct {
 	pids    []ids.ProcessID
 	backups int
 	prop    time.Duration
+	// sent, if set, counts every envelope any endpoint of the world sends,
+	// by message type.
+	sent *metrics.Registry
 }
 
 func newWorld(t *testing.T, n, backups int, prop time.Duration) *world {
+	t.Helper()
+	return newCountedWorld(t, n, backups, prop, nil)
+}
+
+func newCountedWorld(t *testing.T, n, backups int, prop time.Duration, sent *metrics.Registry) *world {
 	t.Helper()
 	w := &world{
 		t:       t,
@@ -197,6 +206,7 @@ func newWorld(t *testing.T, n, backups int, prop time.Duration) *world {
 		svcs:    make(map[ids.ProcessID]*testService),
 		backups: backups,
 		prop:    prop,
+		sent:    sent,
 	}
 	t.Cleanup(func() {
 		for _, s := range w.servers {
@@ -219,6 +229,7 @@ func (w *world) addServer(pid ids.ProcessID) *Server {
 	if err != nil {
 		w.t.Fatalf("attach: %v", err)
 	}
+	ep.SetMetrics(w.sent)
 	svc := newTestService(pid)
 	srv, err := NewServer(Config{
 		Self:      pid,
@@ -248,6 +259,8 @@ type respSink struct {
 	mu   sync.Mutex
 	got  []echoResp
 	seqs []uint64
+	// arrived, if set, is signalled once per response (never blocking).
+	arrived chan struct{}
 }
 
 func (r *respSink) handler(seq uint64, body wire.Message) {
@@ -256,9 +269,13 @@ func (r *respSink) handler(seq uint64, body wire.Message) {
 		return
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.got = append(r.got, e)
 	r.seqs = append(r.seqs, seq)
+	r.mu.Unlock()
+	select {
+	case r.arrived <- struct{}{}:
+	default:
+	}
 }
 
 func (r *respSink) count() int {
@@ -273,6 +290,7 @@ func (w *world) newClient(cid ids.ClientID) *Client {
 	if err != nil {
 		w.t.Fatalf("attach client: %v", err)
 	}
+	ep.SetMetrics(w.sent)
 	c, err := NewClient(ClientConfig{
 		Self:           cid,
 		Transport:      ep,
@@ -459,7 +477,9 @@ func TestWholeSessionGroupCrashDraftsFromUnitDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary := w.servers[1].PrimaryOf(unitU, sess.ID)
-	// Wait for at least one propagation to carry "first" into the db.
+	// Wait for a propagation to carry "first" into the db (a propagation
+	// tick may fire between the session's start and the update: a stamp
+	// alone does not say the update is in it).
 	waitFor(t, 20*time.Second, func() bool {
 		for _, pid := range w.pids {
 			if pid == primary {
@@ -468,7 +488,7 @@ func TestWholeSessionGroupCrashDraftsFromUnitDB(t *testing.T) {
 			w.servers[pid].mu.Lock()
 			u := w.servers[pid].units[unitU]
 			rec := u.db.Get(sess.ID)
-			ok := rec != nil && rec.Stamp > 0
+			ok := rec != nil && len(decodeCtx(rec.Context).Updates) == 1
 			w.servers[pid].mu.Unlock()
 			if ok {
 				return true

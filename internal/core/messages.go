@@ -80,6 +80,10 @@ type SessionStarted struct {
 	// TC is the responding primary's trace context (causally downstream of
 	// the client's StartSession), for the observability layer.
 	TC wire.TraceContext
+	// Members is the session group's membership as the primary sees it when
+	// it replies (it replies once the group has formed). The client sends
+	// to these servers without resolving the group first.
+	Members []ids.ProcessID
 }
 
 // WireName implements wire.Message.

@@ -543,7 +543,8 @@ func (s *Server) checkPendingLocked(u *unitState, sid ids.SessionID) {
 		}
 		_ = s.proc.Send(ids.ClientEndpoint(client), SessionStarted{
 			Unit: u.cfg.Unit, Session: sid, Group: SessionGroup(u.cfg.Unit, sid),
-			TC: s.cfg.Obs.ChildContext(live.startTC),
+			TC:      s.cfg.Obs.ChildContext(live.startTC),
+			Members: live.sgMembers,
 		})
 	}
 }

@@ -79,7 +79,7 @@ func runCapacityCell(servers, backups, clients int, dur time.Duration) (*loadgen
 		Duration: dur,
 		Workload: loadgen.Workload{
 			Arrival:    loadgen.ArrivalClosed,
-			Think:      time.Millisecond,
+			Think:      100 * time.Microsecond,
 			SessionLen: 200,
 		},
 	})

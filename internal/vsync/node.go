@@ -45,10 +45,18 @@ type Config struct {
 	Clock clock.Clock
 }
 
-// pendingData tracks one sent-but-unsequenced message for retry and flush.
+// pendingData tracks one unsequenced message for retry and flush: either
+// sent toward the coordinator, or parked (see handleClientSendLocked).
 type pendingData struct {
 	d        Data
 	lastSent time.Time
+	// parked marks a client fan-out copy held back because another copy is
+	// expected to reach the sequencer without this process's help. It has
+	// no SendSeq yet — stamping one would open a gap in this process's FIFO
+	// stream that stalls its later sends at the coordinator. The entry is
+	// dropped when the message is delivered here, forwarded if RetryTimeout
+	// passes first, and flushed like any other pending send.
+	parked bool
 }
 
 // groupRecv is the per-group delivery record at a member.
@@ -112,6 +120,14 @@ func newCoordState() *coordState {
 	}
 }
 
+// earlyMsg is a Data or SeqData stamped with a view this process has not
+// installed yet: its sender installed that view first.
+type earlyMsg struct {
+	from ids.EndpointID
+	vid  ids.ViewID
+	m    wire.Message
+}
+
 // Node is the virtual-synchrony engine for one process. It implements
 // membership.Hooks; wire it into the membership service and route inbound
 // vsync messages to Handle.
@@ -147,11 +163,19 @@ type Node struct {
 	// nextSendSeq is the per-view FIFO counter for Data sent by this
 	// process.
 	nextSendSeq uint64
-	// pending holds sent-but-unsequenced messages.
+	// pending holds sent-but-unsequenced messages and parked client
+	// copies.
 	pending map[ids.MsgID]*pendingData
 	// blockedQ holds multicasts initiated while blocked, to be sent in the
 	// next view.
 	blockedQ []Data
+	// early holds messages of views later than the installed one, in
+	// arrival order, until Install reaches their view. A commit reaches the
+	// members of a view one after another; whoever installs first sends at
+	// once, and without this its first messages would be dropped at peers
+	// a step behind and recovered only by the RetryTimeout retry or NACK —
+	// with a FIFO gap stalling everything the sender multicasts meanwhile.
+	early []earlyMsg
 
 	// nextDSeq is the next stream position to deliver.
 	nextDSeq uint64
@@ -342,8 +366,16 @@ func (n *Node) Handle(from ids.EndpointID, m wire.Message) {
 	defer n.mu.Unlock()
 	switch msg := m.(type) {
 	case Data:
+		if msg.VID.After(n.view.ID) {
+			n.holdEarlyLocked(from, msg.VID, msg)
+			return
+		}
 		n.handleDataLocked(from, msg)
 	case SeqData:
+		if msg.VID.After(n.view.ID) {
+			n.holdEarlyLocked(from, msg.VID, msg)
+			return
+		}
 		n.handleSeqDataLocked(msg)
 	case DataAck:
 		if msg.VID == n.view.ID {
@@ -360,6 +392,35 @@ func (n *Node) Handle(from ids.EndpointID, m wire.Message) {
 	case Resolve:
 		reply := ResolveReply{Group: msg.Group, Members: n.groupMembersLocked(msg.Group)}
 		_ = n.cfg.Send.Send(from, reply)
+	}
+}
+
+// holdEarlyLocked keeps a message of a later view for Install. Past
+// HistoryLimit it is dropped instead, which the sender's retry (Data) or
+// this process's NACK (SeqData) repairs as it does a lost message.
+func (n *Node) holdEarlyLocked(from ids.EndpointID, vid ids.ViewID, m wire.Message) {
+	if len(n.early) < n.cfg.HistoryLimit {
+		n.early = append(n.early, earlyMsg{from: from, vid: vid, m: m})
+	}
+}
+
+// replayEarlyLocked handles the held messages of the view just installed,
+// keeps those of views later still, and drops the rest.
+func (n *Node) replayEarlyLocked() {
+	held := n.early
+	n.early = nil
+	for _, e := range held {
+		switch {
+		case e.vid.After(n.view.ID):
+			n.early = append(n.early, e)
+		case e.vid == n.view.ID:
+			switch m := e.m.(type) {
+			case Data:
+				n.handleDataLocked(e.from, m)
+			case SeqData:
+				n.handleSeqDataLocked(m)
+			}
+		}
 	}
 }
 
@@ -679,11 +740,25 @@ func diffMembers(prev, cur []ids.ProcessID) (joined, left []ids.ProcessID) {
 
 // --- open groups: client fan-in ---
 
-// handleClientSendLocked forwards a client's open-group send into the
-// total order on the client's behalf.
+// handleClientSendLocked brings a client's open-group send into the total
+// order on the client's behalf. The client fans every send out to all the
+// members it knows, so a member forwards its copy only when nobody closer
+// to the sequencer holds one: it parks the copy when the view coordinator
+// is itself in the group (the coordinator sequences its own copy), and
+// when the coordinator is outside the group all members but the lowest
+// park. A parked copy whose message is not delivered within RetryTimeout
+// is forwarded after all (the other copy was lost), and a view change
+// flushes it like an in-flight forward. Servers outside the group cannot
+// tell who else was sent a copy and forward at once, which is what keeps a
+// client's stale membership harmless.
+//
+//hafw:hotpath
 func (n *Node) handleClientSendLocked(from ids.EndpointID, cs ClientSend) {
 	if g := n.grp[cs.Group]; g != nil && g.deliveredIDs[cs.ID] {
 		return // already delivered here: a late duplicate fan-out copy
+	}
+	if _, dup := n.pending[cs.ID]; dup {
+		return // already forwarding (or parking) this one
 	}
 	d := Data{
 		ID:      cs.ID,
@@ -692,10 +767,30 @@ func (n *Node) handleClientSendLocked(from ids.EndpointID, cs ClientSend) {
 		Payload: cs.Payload,
 		TC:      cs.TC,
 	}
-	if _, dup := n.pending[cs.ID]; dup {
-		return // already forwarding this one
+	if !n.blocked && n.parksCopyLocked(cs.Group) {
+		n.pending[cs.ID] = &pendingData{d: d, lastSent: n.clk.Now(), parked: true}
+		return
 	}
 	n.routeDataLocked(d)
+}
+
+// parksCopyLocked reports whether this process leaves forwarding a client
+// copy for g to another holder of the copy.
+func (n *Node) parksCopyLocked(g ids.GroupName) bool {
+	set := n.dir[g]
+	coord := n.view.Coordinator()
+	if coord == n.cfg.Self || !set[n.cfg.Self] {
+		return false
+	}
+	if set[coord] {
+		return true
+	}
+	for _, m := range n.view.Members { // ascending
+		if set[m] {
+			return m != n.cfg.Self
+		}
+	}
+	return false
 }
 
 // --- housekeeping: acks, stability, retries, gap NACKs ---
@@ -724,13 +819,25 @@ func (n *Node) tick() {
 
 	// Pending retry: resend unacknowledged Data to the current
 	// coordinator (covers lost Data, lost DataAcks, and coordinator
-	// changes within a view).
+	// changes within a view). Parked copies that waited this long were
+	// not sequenced from anyone else's copy: forward them now, in message
+	// order so the stream positions they take do not depend on map order.
+	var overdue []Data
 	for _, p := range n.pending {
-		if now.Sub(p.lastSent) >= n.cfg.RetryTimeout {
-			p.lastSent = now
-			p.d.VID = n.view.ID
-			n.sendDataLocked(p.d)
+		if now.Sub(p.lastSent) < n.cfg.RetryTimeout {
+			continue
 		}
+		if p.parked {
+			overdue = append(overdue, p.d)
+			continue
+		}
+		p.lastSent = now
+		p.d.VID = n.view.ID
+		n.sendDataLocked(p.d)
+	}
+	sortData(overdue)
+	for _, d := range overdue {
+		n.routeDataLocked(d)
 	}
 
 	coordID := n.view.Coordinator()
@@ -931,13 +1038,7 @@ func (n *Node) Collect() []byte {
 	for _, p := range n.pending {
 		fs.Pending = append(fs.Pending, p.d)
 	}
-	sort.Slice(fs.Pending, func(i, j int) bool {
-		a, b := fs.Pending[i], fs.Pending[j]
-		if a.ID.Sender != b.ID.Sender {
-			return a.ID.Sender.Less(b.ID.Sender)
-		}
-		return a.ID.Seq < b.ID.Seq
-	})
+	sortData(fs.Pending)
 	for g, set := range n.dir {
 		ms := make([]ids.ProcessID, 0, len(set))
 		for p := range set {
@@ -970,6 +1071,10 @@ func (n *Node) Install(v membership.View, states map[ids.ProcessID][]byte) {
 	merged := make(map[ids.GroupName]*mergedGroup)
 	var pendings []Data
 	pendingSeen := make(map[ids.MsgID]bool)
+	// flushed collects the IDs of every message this flush carries,
+	// sequenced or not: the old view delivers them, so a copy still waiting
+	// in blockedQ must not be sent again in the new one.
+	flushed := make(map[ids.MsgID]bool)
 	dirMerge := make(map[ids.GroupName]map[ids.ProcessID]bool)
 	// strangers are members whose flush state came from a different
 	// previous view: the far side of a healing partition, or a process
@@ -1033,14 +1138,22 @@ func (n *Node) Install(v membership.View, states map[ids.ProcessID][]byte) {
 			if fm.Seq > mg.max {
 				mg.max = fm.Seq
 			}
+			flushed[fm.ID] = true
 		}
 		for _, pd := range fs.Pending {
+			flushed[pd.ID] = true
 			if !pendingSeen[pd.ID] {
 				pendingSeen[pd.ID] = true
 				pendings = append(pendings, pd)
 			}
 		}
 	}
+
+	// Adopt the merged directory before delivering: the joins and leaves
+	// among the flushed messages then change the directory the new view
+	// starts from. (Adopted afterwards, it would overwrite them, and a
+	// join caught in a view change would be lost for good.)
+	n.dir = dirMerge
 
 	// Deliver the merged sequenced messages in deterministic order:
 	// groups sorted by name (DirGroup's name sorts first, so membership
@@ -1108,8 +1221,7 @@ func (n *Node) Install(v membership.View, states map[ids.ProcessID][]byte) {
 	}
 	n.cfg.Metrics.Counter("view_installs_total").Inc()
 
-	// Adopt the merged directory and the new view; reset per-view state.
-	n.dir = dirMerge
+	// Adopt the new view; reset per-view state.
 	n.view = v
 	n.blocked = false
 	n.nextDSeq = 1
@@ -1174,13 +1286,31 @@ func (n *Node) Install(v membership.View, states map[ids.ProcessID][]byte) {
 		n.emitGroupViewLocked(g)
 	}
 
-	// Release multicasts initiated while blocked into the new view.
+	// What peers that installed this view earlier already sent comes
+	// first, then the multicasts initiated here while blocked — except a
+	// client's copy that arrived here during the freeze while another
+	// server's copy of it made it into the flush: the old view delivered
+	// that message, and sequencing it again would deliver it twice.
+	n.replayEarlyLocked()
 	q := n.blockedQ
 	n.blockedQ = nil
 	for _, d := range q {
-		n.routeDataLocked(d)
+		if !flushed[d.ID] {
+			n.routeDataLocked(d)
+		}
 	}
 	n.mu.Unlock()
+}
+
+// sortData orders messages by ID (sender, then the sender's sequence).
+func sortData(ds []Data) {
+	sort.Slice(ds, func(i, j int) bool {
+		a, b := ds[i], ds[j]
+		if a.ID.Sender != b.ID.Sender {
+			return a.ID.Sender.Less(b.ID.Sender)
+		}
+		return a.ID.Seq < b.ID.Seq
+	})
 }
 
 // --- event queue ---

@@ -302,6 +302,70 @@ func TestStaleViewSeqDataDiscarded(t *testing.T) {
 	}
 }
 
+func TestMessagesOfNextViewWaitForInstall(t *testing.T) {
+	// A peer that installed the next view first is already sending in it.
+	// Its messages are held, not dropped, and handled once this process
+	// installs the view too — no retry, no NACK.
+	next := membership.NewView(ids.ViewID{Epoch: 5, Coord: 1}, []ids.ProcessID{1, 2})
+	joinGroup := func(n *Node, sink *eventSink) {
+		t.Helper()
+		if err := n.Join(tg); err != nil {
+			t.Fatal(err)
+		}
+		waitSink(t, func() bool { return len(sink.views(tg)) == 1 }, "join view")
+	}
+
+	t.Run("Data at the coordinator-to-be", func(t *testing.T) {
+		n, fs, sink := newTestNode(t, 1)
+		joinGroup(n, sink)
+		peer := ids.ProcessEndpoint(2)
+		n.Handle(peer, Data{
+			VID: next.ID, SendSeq: 1, ID: ids.MsgID{Sender: peer, Seq: 1},
+			Group: tg, From: peer, Payload: testPayload{N: 1},
+		})
+		if len(sink.messages(tg)) != 0 {
+			t.Fatal("sequenced a message of a view not installed yet")
+		}
+		n.Block()
+		n.Install(next, map[ids.ProcessID][]byte{1: n.Collect()})
+		waitSink(t, func() bool { return len(sink.messages(tg)) == 1 }, "held Data sequenced at install")
+		if fs.count(func(e wire.Envelope) bool { _, ok := e.Payload.(DataAck); return ok && e.To == peer }) != 1 {
+			t.Fatal("held Data was not acknowledged to its sender")
+		}
+	})
+
+	t.Run("SeqData at a member", func(t *testing.T) {
+		n, fs, sink := newTestNode(t, 2)
+		joinGroup(n, sink)
+		coord := ids.ProcessEndpoint(1)
+		n.Handle(coord, SeqData{
+			VID: next.ID, Group: tg, Seq: 1, DSeq: 1,
+			ID: ids.MsgID{Sender: coord, Seq: 1}, From: coord, Payload: testPayload{N: 1},
+		})
+		if len(sink.messages(tg)) != 0 {
+			t.Fatal("delivered a message of a view not installed yet")
+		}
+		n.Block()
+		n.Install(next, map[ids.ProcessID][]byte{2: n.Collect()})
+		waitSink(t, func() bool { return len(sink.messages(tg)) == 1 }, "held SeqData delivered at install")
+		if fs.count(func(e wire.Envelope) bool { _, ok := e.Payload.(Nack); return ok }) != 0 {
+			t.Fatal("member had to NACK a message it was already sent")
+		}
+		// The group view of the new process view precedes the message.
+		var sawView bool
+		sink.mu.Lock()
+		for _, e := range sink.events {
+			if ve, ok := e.(ViewEvent); ok && ve.View.ID.PV == next.ID {
+				sawView = true
+			}
+			if _, ok := e.(MessageEvent); ok && !sawView {
+				t.Error("message of the new view delivered before its group view")
+			}
+		}
+		sink.mu.Unlock()
+	})
+}
+
 func TestBlockedDeliveryFreezesUntilInstall(t *testing.T) {
 	n, _, sink := newTestNode(t, 2)
 	if err := n.Join(tg); err != nil {
@@ -334,6 +398,36 @@ func TestBlockedDeliveryFreezesUntilInstall(t *testing.T) {
 	}
 }
 
+func TestFlushedClientCopyNotResentFromBlockedQueue(t *testing.T) {
+	// A client's fan-out straddles a view change: one server took its copy
+	// before the freeze (it travels in that server's flush state), this one
+	// during it (it waits in blockedQ). One delivery, not two.
+	n, _, sink := newTestNode(t, 1)
+	if err := n.Join(tg); err != nil {
+		t.Fatal(err)
+	}
+	waitSink(t, func() bool { return len(sink.views(tg)) == 1 }, "join view")
+	old := n.View().ID
+	n.Block()
+	mine := n.Collect()
+	client, cs := clientSend(1, 7)
+	n.Handle(client, cs)
+	theirs, err := wire.EncodeMessage(flushState{
+		VID:     old,
+		Pending: []Data{{ID: cs.ID, Group: tg, From: client, Payload: cs.Payload}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := membership.NewView(ids.ViewID{Epoch: 7, Coord: 1}, []ids.ProcessID{1, 2})
+	n.Install(v2, map[ids.ProcessID][]byte{1: mine, 2: theirs})
+	waitSink(t, func() bool { return len(sink.messages(tg)) >= 1 }, "flush delivery")
+	time.Sleep(30 * time.Millisecond)
+	if got := len(sink.messages(tg)); got != 1 {
+		t.Fatalf("delivered %d times, want once", got)
+	}
+}
+
 func TestBlockedMulticastReleasedIntoNewView(t *testing.T) {
 	n, _, sink := newTestNode(t, 1)
 	if err := n.Join(tg); err != nil {
@@ -352,6 +446,31 @@ func TestBlockedMulticastReleasedIntoNewView(t *testing.T) {
 	v2 := membership.NewView(ids.ViewID{Epoch: 7, Coord: 1}, []ids.ProcessID{1})
 	n.Install(v2, map[ids.ProcessID][]byte{1: n.Collect()})
 	waitSink(t, func() bool { return len(sink.messages(tg)) == 1 }, "released multicast")
+}
+
+func TestJoinCaughtInViewChangeSurvivesFlush(t *testing.T) {
+	n, _, sink := newTestNode(t, 2)
+	// The coordinator (absent process 1) never sequences the join: it is
+	// still pending when the view changes.
+	puppetView(t, n, 2, 1)
+	if err := n.Join(tg); err != nil {
+		t.Fatal(err)
+	}
+	n.Block()
+	v2 := membership.NewView(ids.ViewID{Epoch: 6, Coord: 2}, []ids.ProcessID{2})
+	n.Install(v2, map[ids.ProcessID][]byte{2: n.Collect()})
+	// The flush applies the join; the directory of the new view keeps it.
+	if got := n.GroupMembers(tg); !reflect.DeepEqual(got, []ids.ProcessID{2}) {
+		t.Fatalf("members after the flush = %v, want [2]: the join was lost", got)
+	}
+	if err := n.Multicast(tg, testPayload{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	waitSink(t, func() bool { return len(sink.messages(tg)) == 1 }, "delivery to the joined group")
+	vs := sink.views(tg)
+	if last := vs[len(vs)-1]; !reflect.DeepEqual(last.View.Members, []ids.ProcessID{2}) || last.View.ID.PV != v2.ID {
+		t.Fatalf("last group view = %+v, want [2] in the new view", last.View)
+	}
 }
 
 func TestFastRejoinerReportedAsJoiner(t *testing.T) {
@@ -410,8 +529,8 @@ func TestFlushDeliversIdenticalSetsToCoMovers(t *testing.T) {
 	// The phantom coordinator is process 1 — the LEAST member of the
 	// forged view — so neither live node runs sequencer-side stability
 	// (which would otherwise legitimately prune the retained messages).
-	n5, _, sink1 := newTestNode(t, 5)
-	n6, _, sink2 := newTestNode(t, 6)
+	n5, fs5, sink1 := newTestNode(t, 5)
+	n6, fs6, sink2 := newTestNode(t, 6)
 	for _, n := range []*Node{n5, n6} {
 		if err := n.Join(tg); err != nil {
 			t.Fatal(err)
@@ -419,11 +538,19 @@ func TestFlushDeliversIdenticalSetsToCoMovers(t *testing.T) {
 	}
 	waitSink(t, func() bool { return len(sink1.views(tg)) == 1 && len(sink2.views(tg)) == 1 }, "join views")
 
-	// Put both into the same view coordinated by absent process 1.
+	// Put both into the same view coordinated by absent process 1, itself
+	// a member of the group (so the others park client copies for it).
+	blob1, err := wire.EncodeMessage(flushState{
+		VID: ids.ViewID{Epoch: 1, Coord: 1},
+		Dir: map[ids.GroupName][]ids.ProcessID{tg: {1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	v := membership.NewView(ids.ViewID{Epoch: 5, Coord: 1}, []ids.ProcessID{1, 5, 6})
 	for _, n := range []*Node{n5, n6} {
 		n.Block()
-		n.Install(v, map[ids.ProcessID][]byte{n.cfg.Self: n.Collect()})
+		n.Install(v, map[ids.ProcessID][]byte{n.cfg.Self: n.Collect(), 1: blob1})
 	}
 	coord := ids.ProcessEndpoint(1)
 	mk := func(dseq, seq uint64, nn int) SeqData {
@@ -440,18 +567,30 @@ func TestFlushDeliversIdenticalSetsToCoMovers(t *testing.T) {
 	n5.Handle(coord, mk(2, 2, 2))
 	n6.Handle(coord, mk(2, 2, 2))
 	waitSink(t, func() bool { return len(sink1.messages(tg)) == 2 }, "n5 deliveries")
+	// A client's fan-out reached both members but not the coordinator: each
+	// parks its copy, nothing is forwarded, nothing is delivered yet.
+	client := ids.ClientEndpoint(70)
+	cs := ClientSend{Group: tg, ID: ids.MsgID{Sender: client, Seq: 1}, Payload: testPayload{N: 3}}
+	n5.Handle(client, cs)
+	n6.Handle(client, cs)
+	for _, fs := range []*fakeSender{fs5, fs6} {
+		if fs.count(isData) != 0 {
+			t.Fatal("a member forwarded a copy the coordinator was sent too")
+		}
+	}
 
-	// Coordinator 1 crashes; survivors exchange states and install.
+	// Coordinator 1 crashes; survivors exchange states and install. The
+	// parked copy travels in both states and is delivered once at each.
+	n5.Block()
+	n6.Block()
 	b5, b6 := n5.Collect(), n6.Collect()
 	v2 := membership.NewView(ids.ViewID{Epoch: 6, Coord: 5}, []ids.ProcessID{5, 6})
 	states := map[ids.ProcessID][]byte{5: b5, 6: b6}
-	n5.Block()
-	n6.Block()
 	n5.Install(v2, states)
 	n6.Install(v2, states)
 
 	deadline := time.Now().Add(2 * time.Second * testutil.TimeScale)
-	for len(sink1.messages(tg)) != 2 || len(sink2.messages(tg)) != 2 {
+	for len(sink1.messages(tg)) != 3 || len(sink2.messages(tg)) != 3 {
 		if time.Now().After(deadline) {
 			t.Fatalf("union not delivered: sink1=%d sink2=%d msgs2=%+v",
 				len(sink1.messages(tg)), len(sink2.messages(tg)), sink2.messages(tg))
@@ -463,6 +602,236 @@ func TestFlushDeliversIdenticalSetsToCoMovers(t *testing.T) {
 		if m1[i].Payload.(testPayload).N != m2[i].Payload.(testPayload).N {
 			t.Fatalf("co-movers diverge: %v vs %v", m1, m2)
 		}
+	}
+	if last := m1[2]; last.From != client || last.Payload.(testPayload).N != 3 {
+		t.Fatalf("flushed client message = %+v", last)
+	}
+	time.Sleep(30 * time.Millisecond) // past RetryTimeout: nothing left to re-deliver
+	if len(sink1.messages(tg)) != 3 || len(sink2.messages(tg)) != 3 {
+		t.Fatalf("parked copy delivered again after the flush: %d, %d",
+			len(sink1.messages(tg)), len(sink2.messages(tg)))
+	}
+}
+
+// isData matches a forwarded (or originated) Data on the wire.
+func isData(e wire.Envelope) bool { _, ok := e.Payload.(Data); return ok }
+
+// --- parked client copies: several nodes wired through an in-memory net ---
+
+// testNet carries messages between the nodes of one test. Sends queue;
+// pump hands the queue to the destinations' Handle one message at a time,
+// so a test decides when (and whether) a message arrives.
+type testNet struct {
+	mu    sync.Mutex
+	nodes map[ids.ProcessID]*Node
+	queue []wire.Envelope
+	log   []wire.Envelope
+}
+
+type netSender struct {
+	net  *testNet
+	self ids.ProcessID
+}
+
+func (s netSender) Send(to ids.EndpointID, m wire.Message) error {
+	env := wire.Envelope{From: ids.ProcessEndpoint(s.self), To: to, Payload: m}
+	s.net.mu.Lock()
+	defer s.net.mu.Unlock()
+	s.net.queue = append(s.net.queue, env)
+	s.net.log = append(s.net.log, env)
+	return nil
+}
+
+func (tn *testNet) pump() {
+	for {
+		tn.mu.Lock()
+		if len(tn.queue) == 0 {
+			tn.mu.Unlock()
+			return
+		}
+		env := tn.queue[0]
+		tn.queue = tn.queue[1:]
+		tn.mu.Unlock()
+		if p, ok := env.To.Process(); ok && tn.nodes[p] != nil {
+			tn.nodes[p].Handle(env.From, env.Payload)
+		}
+	}
+}
+
+// sent counts the messages of one kind put on the wire so far.
+func (tn *testNet) sent(pred func(wire.Envelope) bool) int {
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
+	n := 0
+	for _, e := range tn.log {
+		if pred(e) {
+			n++
+		}
+	}
+	return n
+}
+
+// pumpUntil pumps until cond holds.
+func (tn *testNet) pumpUntil(t *testing.T, cond func() bool, msg string) {
+	t.Helper()
+	waitSink(t, func() bool { tn.pump(); return cond() }, msg)
+}
+
+// newTestCluster starts the processes of all in one forged view (its least
+// member coordinates) with members joined to tg, and returns the net and
+// each process's event sink.
+func newTestCluster(t *testing.T, retry time.Duration, all, members []ids.ProcessID) (*testNet, map[ids.ProcessID]*eventSink) {
+	t.Helper()
+	tn := &testNet{nodes: make(map[ids.ProcessID]*Node)}
+	sinks := make(map[ids.ProcessID]*eventSink)
+	for _, p := range all {
+		sink := &eventSink{}
+		n := New(Config{
+			Self: p, Send: netSender{net: tn, self: p}, OnEvent: sink.on,
+			AckInterval: 5 * time.Millisecond, RetryTimeout: retry,
+		})
+		n.Start()
+		t.Cleanup(n.Stop)
+		tn.nodes[p], sinks[p] = n, sink
+	}
+	for _, p := range members {
+		if err := tn.nodes[p].Join(tg); err != nil {
+			t.Fatal(err)
+		}
+		sink := sinks[p]
+		waitSink(t, func() bool { return len(sink.views(tg)) == 1 }, "join view")
+	}
+	states := make(map[ids.ProcessID][]byte)
+	for _, p := range all {
+		tn.nodes[p].Block()
+		states[p] = tn.nodes[p].Collect()
+	}
+	v := membership.NewView(ids.ViewID{Epoch: 5, Coord: all[0]}, all)
+	for _, p := range all {
+		tn.nodes[p].Install(v, states)
+	}
+	for _, p := range members {
+		sink := sinks[p]
+		waitSink(t, func() bool {
+			vs := sink.views(tg)
+			return reflect.DeepEqual(vs[len(vs)-1].View.Members, members)
+		}, "merged group view")
+	}
+	return tn, sinks
+}
+
+func isDataAck(e wire.Envelope) bool { _, ok := e.Payload.(DataAck); return ok }
+
+func clientSend(seq uint64, n int) (ids.EndpointID, ClientSend) {
+	client := ids.ClientEndpoint(50)
+	return client, ClientSend{Group: tg, ID: ids.MsgID{Sender: client, Seq: seq}, Payload: testPayload{N: n}}
+}
+
+func TestClientCopyParkedWhenCoordinatorIsMember(t *testing.T) {
+	// The member's copy may arrive before or after the coordinator
+	// sequenced its own: neither order forwards anything.
+	for _, memberFirst := range []bool{true, false} {
+		tn, sinks := newTestCluster(t, time.Hour, []ids.ProcessID{1, 2}, []ids.ProcessID{1, 2})
+		client, cs := clientSend(1, 7)
+		if memberFirst {
+			tn.nodes[2].Handle(client, cs)
+			tn.nodes[1].Handle(client, cs)
+		} else {
+			tn.nodes[1].Handle(client, cs)
+			tn.pump()
+			tn.nodes[2].Handle(client, cs)
+		}
+		tn.pumpUntil(t, func() bool {
+			return len(sinks[1].messages(tg)) == 1 && len(sinks[2].messages(tg)) == 1
+		}, "delivered at both members")
+		if d, a := tn.sent(isData), tn.sent(isDataAck); d != 0 || a != 0 {
+			t.Fatalf("memberFirst=%v: %d Data, %d DataAck sent; want none", memberFirst, d, a)
+		}
+		n2 := tn.nodes[2]
+		n2.mu.Lock()
+		left := len(n2.pending)
+		n2.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("memberFirst=%v: %d entries still parked after delivery", memberFirst, left)
+		}
+		if from := sinks[2].messages(tg)[0].From; from != client {
+			t.Fatalf("From = %v, want the client", from)
+		}
+	}
+}
+
+func TestParkedCopyForwardedWhenCoordinatorCopyLost(t *testing.T) {
+	tn, sinks := newTestCluster(t, 20*time.Millisecond, []ids.ProcessID{1, 2}, []ids.ProcessID{1, 2})
+	client, cs := clientSend(1, 7)
+	tn.nodes[2].Handle(client, cs) // the coordinator's copy never arrives
+	tn.pump()
+	if tn.sent(isData) != 0 {
+		t.Fatal("forwarded before RetryTimeout")
+	}
+	tn.pumpUntil(t, func() bool { return tn.sent(isData) == 1 }, "parked copy forwarded after RetryTimeout")
+	tn.pumpUntil(t, func() bool {
+		return len(sinks[1].messages(tg)) == 1 && len(sinks[2].messages(tg)) == 1
+	}, "delivered at both members")
+	// The late copy to the coordinator changes nothing.
+	tn.nodes[1].Handle(client, cs)
+	time.Sleep(60 * time.Millisecond)
+	tn.pump()
+	if a, b := len(sinks[1].messages(tg)), len(sinks[2].messages(tg)); a != 1 || b != 1 {
+		t.Fatalf("delivered %d and %d times, want once each", a, b)
+	}
+}
+
+func TestParkedCopyDoesNotStallLaterMulticast(t *testing.T) {
+	tn, sinks := newTestCluster(t, time.Hour, []ids.ProcessID{1, 2}, []ids.ProcessID{1, 2})
+	client, cs := clientSend(1, 7)
+	tn.nodes[2].Handle(client, cs) // parked for good: RetryTimeout is an hour
+	if err := tn.nodes[2].Multicast(tg, testPayload{N: 8}); err != nil {
+		t.Fatal(err)
+	}
+	// Had the parked copy taken SendSeq 1, the multicast (SendSeq 2) would
+	// wait in the coordinator's reassembly buffer for a Data never sent.
+	tn.pumpUntil(t, func() bool {
+		return len(sinks[1].messages(tg)) == 1 && len(sinks[2].messages(tg)) == 1
+	}, "multicast delivered past the parked copy")
+	if got := sinks[1].messages(tg)[0].Payload.(testPayload).N; got != 8 {
+		t.Fatalf("delivered payload %d, want the multicast's 8", got)
+	}
+	n1 := tn.nodes[1]
+	n1.mu.Lock()
+	fb := n1.coord.fifo[ids.ProcessEndpoint(2)]
+	next, buffered := fb.next, len(fb.buf)
+	n1.mu.Unlock()
+	if next != 2 || buffered != 0 {
+		t.Fatalf("coordinator's stream from p2: next=%d buffered=%d, want 2 and 0", next, buffered)
+	}
+}
+
+func TestNonMemberForwardsClientCopyAtOnce(t *testing.T) {
+	tn, sinks := newTestCluster(t, time.Hour, []ids.ProcessID{1, 2, 3}, []ids.ProcessID{1, 2})
+	client, cs := clientSend(1, 7)
+	tn.nodes[3].Handle(client, cs) // a stale client: p3 is not in the group
+	if tn.sent(isData) != 1 {
+		t.Fatalf("non-member sent %d Data, want 1 at once", tn.sent(isData))
+	}
+	tn.pumpUntil(t, func() bool {
+		return len(sinks[1].messages(tg)) == 1 && len(sinks[2].messages(tg)) == 1
+	}, "delivered at both members")
+	if len(sinks[3].messages(tg)) != 0 {
+		t.Fatal("delivered at a non-member")
+	}
+}
+
+func TestOnlyLowestMemberForwardsWhenCoordinatorOutsideGroup(t *testing.T) {
+	tn, sinks := newTestCluster(t, time.Hour, []ids.ProcessID{1, 2, 3}, []ids.ProcessID{2, 3})
+	client, cs := clientSend(1, 7)
+	tn.nodes[3].Handle(client, cs)
+	tn.nodes[2].Handle(client, cs)
+	tn.pumpUntil(t, func() bool {
+		return len(sinks[2].messages(tg)) == 1 && len(sinks[3].messages(tg)) == 1
+	}, "delivered at both members")
+	tn.pumpUntil(t, func() bool { return tn.sent(isDataAck) == 1 }, "forward acknowledged")
+	if d := tn.sent(isData); d != 1 {
+		t.Fatalf("%d Data sent, want 1 (from p2 only)", d)
 	}
 }
 
