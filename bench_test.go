@@ -1,23 +1,19 @@
-// Package hafw's root benchmark suite regenerates every experiment of the
-// reproduction (E1–E13, one benchmark each — see DESIGN.md §5 and
-// EXPERIMENTS.md) and measures the substrate's micro-performance. Run:
+// Package hafw's root benchmark suite measures the substrate's
+// micro-performance: codec, unit database, WAL, state transfer, the risk
+// model and GCS multicast. Run:
 //
 //	go test -bench=. -benchmem
 //
-// The experiment benchmarks execute the same runners as cmd/haexp in quick
-// mode and report headline numbers through b.ReportMetric; the absolute
-// wall-clock of one iteration is the cost of the full scenario (cluster
-// formation, fault injection, measurement), not a protocol figure.
+// The experiments themselves run through cmd/haexp (go run ./cmd/haexp
+// -exp En; see DESIGN.md §5 and EXPERIMENTS.md).
 package hafw
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
-	"hafw/internal/exp"
 	"hafw/internal/gcs"
 	"hafw/internal/ids"
 	"hafw/internal/riskmodel"
@@ -26,117 +22,6 @@ import (
 	"hafw/internal/unitdb"
 	"hafw/internal/wire"
 )
-
-// runExp executes one experiment runner b.N times, failing the benchmark
-// if the experiment errors.
-func runExp(b *testing.B, id string) exp.Table {
-	b.Helper()
-	r, err := exp.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var last exp.Table
-	for i := 0; i < b.N; i++ {
-		t, err := r.Run(true)
-		if err != nil {
-			b.Fatalf("%s: %v\n%s", id, err, t)
-		}
-		last = t
-	}
-	return last
-}
-
-// cell parses a numeric table cell.
-func cell(b *testing.B, t exp.Table, row, col int) float64 {
-	b.Helper()
-	if row >= len(t.Rows) || col >= len(t.Rows[row]) {
-		b.Fatalf("table %s has no cell (%d,%d)", t.ID, row, col)
-	}
-	v, err := strconv.ParseFloat(t.Rows[row][col], 64)
-	if err != nil {
-		b.Fatalf("cell (%d,%d) = %q: %v", row, col, t.Rows[row][col], err)
-	}
-	return v
-}
-
-func BenchmarkE1SinglePrimary(b *testing.B) {
-	t := runExp(b, "E1")
-	b.ReportMetric(cell(b, t, len(t.Rows)-1, 3), "violations")
-}
-
-func BenchmarkE2ReplicationSweep(b *testing.B) {
-	t := runExp(b, "E2")
-	b.ReportMetric(cell(b, t, 0, 2), "fracdown_R1")
-	b.ReportMetric(cell(b, t, 2, 2), "fracdown_R3")
-}
-
-func BenchmarkE3LostUpdate(b *testing.B) {
-	t := runExp(b, "E3")
-	b.ReportMetric(cell(b, t, 0, 3), "plost_B0")
-	b.ReportMetric(cell(b, t, len(t.Rows)-1, 3), "plost_B3")
-}
-
-func BenchmarkE4DuplicateWindow(b *testing.B) {
-	t := runExp(b, "E4")
-	b.ReportMetric(cell(b, t, 0, 2), "meandups_T0.1")
-	b.ReportMetric(cell(b, t, len(t.Rows)-1, 2), "meandups_T1.0")
-}
-
-func BenchmarkE5Takeover(b *testing.B) {
-	t := runExp(b, "E5")
-	gap, err := time.ParseDuration(t.Rows[1][1])
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(gap.Milliseconds()), "crashgap_ms")
-}
-
-func BenchmarkE6LoadSweep(b *testing.B) {
-	t := runExp(b, "E6")
-	b.ReportMetric(cell(b, t, 0, 2), "propmsgs_T0.1_B0")
-}
-
-func BenchmarkE7DualPrimary(b *testing.B) {
-	t := runExp(b, "E7")
-	b.ReportMetric(cell(b, t, 0, 2), "dualwin_transitive")
-	b.ReportMetric(cell(b, t, 1, 2), "dualwin_nontransitive")
-}
-
-func BenchmarkE8Migration(b *testing.B) {
-	t := runExp(b, "E8")
-	b.ReportMetric(cell(b, t, len(t.Rows)-1, 3), "updates_lost")
-}
-
-func BenchmarkE9MPEGPolicy(b *testing.B) {
-	t := runExp(b, "E9")
-	b.ReportMetric(cell(b, t, 2, 3), "mpeg_missing_I")
-}
-
-func BenchmarkE10RSM(b *testing.B) {
-	t := runExp(b, "E10")
-	if t.Rows[len(t.Rows)-1][3] != "true" {
-		b.Fatalf("replicas inconsistent:\n%s", t)
-	}
-}
-
-func BenchmarkE11VoDInstance(b *testing.B) {
-	t := runExp(b, "E11")
-	b.ReportMetric(cell(b, t, 0, 1), "dup_frames")
-}
-
-func BenchmarkE12AutoConfig(b *testing.B) {
-	t := runExp(b, "E12")
-	b.ReportMetric(cell(b, t, len(t.Rows)-1, 1), "chosen_B_tightest")
-}
-
-// BenchmarkE13RestartRecovery reruns the durable-restart experiment and
-// reports the headline comparison: state-transfer bytes shipped to a warm
-// (disk intact) versus cold (disk wiped) rejoiner.
-func BenchmarkE13RestartRecovery(b *testing.B) {
-	t := runExp(b, "E13")
-	b.ReportMetric(cell(b, t, len(t.Rows)-2, 4), "warm_rejoin_bytes")
-	b.ReportMetric(cell(b, t, len(t.Rows)-1, 4), "cold_rejoin_bytes")
-}
 
 // --- substrate micro-benchmarks ---
 

@@ -39,6 +39,7 @@ import (
 	"strconv"
 	"time"
 
+	"hafw/internal/cluster"
 	"hafw/internal/ids"
 	"hafw/internal/loadgen"
 	"hafw/internal/media"
@@ -110,7 +111,7 @@ func main() {
 	case "memnet":
 		log.Printf("bringing up in-process cluster: %d servers, B=%d, T=%v, %d units",
 			*servers, *backups, *prop, *units)
-		mcfg := loadgen.MemnetConfig{
+		ccfg := cluster.Config{
 			Servers:     *servers,
 			Backups:     *backups,
 			Propagation: *prop,
@@ -118,13 +119,13 @@ func main() {
 			Net:         memnet.Config{Latency: *latency},
 		}
 		if *workload == "stream" {
-			mcfg.Service = loadgen.StreamService(spec)
+			ccfg.Service = loadgen.StreamService(spec)
 		}
-		mt, err := loadgen.NewMemnetTarget(mcfg)
+		c, err := cluster.New(cluster.Memnet, ccfg)
 		if err != nil {
 			log.Fatalf("memnet target: %v", err)
 		}
-		target = mt
+		target = c
 	case "tcpnet":
 		if *addrs == "" {
 			log.Fatal("-clusters tcpnet requires -addrs")

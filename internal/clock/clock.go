@@ -1,6 +1,6 @@
 // Package clock abstracts the passage of time so that protocol packages
-// (fd, membership, vsync, core, faultinject, memnet) can run against
-// either the wall clock or a simulated one. Production code passes nil
+// (fd, membership, vsync, core, memnet) can run against either the wall
+// clock or a simulated one. Production code passes nil
 // (defaulted to Real via OrReal); the discrete-event simulator in
 // internal/sim supplies a virtual implementation whose timers fire when
 // the scheduler advances virtual time, making 50-node cluster runs both

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"hafw/internal/cluster"
 	"hafw/internal/loadgen"
 )
 
@@ -63,7 +64,7 @@ func E14Capacity(quick bool) (Table, error) {
 }
 
 func runCapacityCell(servers, backups, clients int, dur time.Duration) (*loadgen.Result, error) {
-	target, err := loadgen.NewMemnetTarget(loadgen.MemnetConfig{
+	target, err := cluster.New(cluster.Memnet, cluster.Config{
 		Servers:     servers,
 		Backups:     backups,
 		Propagation: 50 * time.Millisecond,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"hafw/internal/cluster"
 	"hafw/internal/loadgen"
 )
 
@@ -63,8 +64,17 @@ func addE15Row(t *Table, phase string, res *loadgen.Result) {
 	)
 }
 
+// heldSessions is a think-time closed loop whose sessions outlive the run,
+// so a mid-run crash lands on sessions in flight.
+var heldSessions = loadgen.Workload{
+	Arrival:    loadgen.ArrivalClosed,
+	Think:      time.Millisecond,
+	SessionLen: 1 << 20,
+	ReqTimeout: 3 * time.Second,
+}
+
 func runFailoverCell(clients int, dur time.Duration, crash bool) (*loadgen.Result, error) {
-	target, err := loadgen.NewMemnetTarget(loadgen.MemnetConfig{
+	target, err := cluster.New(cluster.Memnet, cluster.Config{
 		Servers:     3,
 		Backups:     1,
 		Propagation: 50 * time.Millisecond,
@@ -78,12 +88,7 @@ func runFailoverCell(clients int, dur time.Duration, crash bool) (*loadgen.Resul
 		Target:   target,
 		Clients:  clients,
 		Duration: dur,
-		Workload: loadgen.Workload{
-			Arrival:    loadgen.ArrivalClosed,
-			Think:      time.Millisecond,
-			SessionLen: 1 << 20, // sessions outlive the run: held across the crash
-			ReqTimeout: 3 * time.Second,
-		},
+		Workload: heldSessions,
 	}
 	if crash {
 		cfg.InjectAfter = dur / 2

@@ -8,6 +8,7 @@ import (
 	"os"
 	"time"
 
+	"hafw/internal/cluster"
 	"hafw/internal/loadgen"
 	"hafw/internal/metrics"
 )
@@ -109,7 +110,7 @@ func E16Observability(quick bool) (Table, error) {
 
 	if !quick {
 		bench.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-		if err := writeBenchObs("BENCH_obs.json", bench); err != nil {
+		if err := writeJSON("BENCH_obs.json", bench); err != nil {
 			return t, err
 		}
 	}
@@ -127,7 +128,7 @@ type obsCell struct {
 // for the duration — the realistic cost of running under a collector — and
 // merges the per-node backup-staleness histograms afterwards.
 func runObsCell(clients int, dur, propagation time.Duration, obsOn bool) (*obsCell, error) {
-	target, err := loadgen.NewMemnetTarget(loadgen.MemnetConfig{
+	target, err := cluster.New(cluster.Memnet, cluster.Config{
 		Servers:     3,
 		Backups:     1,
 		Propagation: propagation,
@@ -139,44 +140,36 @@ func runObsCell(clients int, dur, propagation time.Duration, obsOn bool) (*obsCe
 	}
 	defer target.Close()
 
+	// Ops servers exist only with obs on, so the obs-off cell scrapes
+	// nothing.
 	stopScrape := make(chan struct{})
 	scrapeDone := make(chan struct{})
-	if obsOn {
-		addrs := target.OpsAddrs()
-		go func() {
-			defer close(scrapeDone)
-			tick := time.NewTicker(100 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopScrape:
-					return
-				case <-tick.C:
-					for _, addr := range addrs {
-						resp, err := http.Get("http://" + addr + "/metrics")
-						if err != nil {
-							continue
-						}
-						_, _ = io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
+	go func() {
+		defer close(scrapeDone)
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stopScrape:
+				return
+			case <-tick.C:
+				for _, addr := range target.OpsAddrs() {
+					resp, err := http.Get("http://" + addr + "/metrics")
+					if err != nil {
+						continue
 					}
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
 				}
 			}
-		}()
-	} else {
-		close(scrapeDone)
-	}
+		}
+	}()
 
 	res, err := loadgen.Run(loadgen.Config{
 		Target:   target,
 		Clients:  clients,
 		Duration: dur,
-		Workload: loadgen.Workload{
-			Arrival:    loadgen.ArrivalClosed,
-			Think:      time.Millisecond,
-			SessionLen: 1 << 20,
-			ReqTimeout: 3 * time.Second,
-		},
+		Workload: heldSessions,
 	})
 	close(stopScrape)
 	<-scrapeDone
@@ -185,8 +178,8 @@ func runObsCell(clients int, dur, propagation time.Duration, obsOn bool) (*obsCe
 	}
 
 	stale := &metrics.Histogram{}
-	for _, reg := range target.Registries() {
-		stale.Merge(reg.Histogram("backup_staleness_seconds"))
+	for _, pid := range target.Servers() {
+		stale.Merge(target.Metrics(pid).Histogram("backup_staleness_seconds"))
 	}
 	return &obsCell{res: res, staleness: stale}, nil
 }
@@ -214,8 +207,9 @@ type benchStaleness struct {
 	Within        bool    `json:"within"`
 }
 
-func writeBenchObs(path string, b benchObs) error {
-	data, err := json.MarshalIndent(b, "", "  ")
+// writeJSON writes a machine-readable experiment record (BENCH_*.json).
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,19 +1,13 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
-	"hafw/internal/core"
+	"hafw/internal/cluster"
 	"hafw/internal/ids"
 	"hafw/internal/loadgen"
 	"hafw/internal/media"
-	"hafw/internal/services/vod"
-	"hafw/internal/transport/tcpnet"
-	"hafw/internal/wire"
 )
 
 // E17Streaming measures client-observed stall time while a chunked media
@@ -93,7 +87,7 @@ func E17Streaming(quick bool) (Table, error) {
 
 	if !quick {
 		bench.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-		if err := writeBenchStream("BENCH_stream.json", bench); err != nil {
+		if err := writeJSON("BENCH_stream.json", bench); err != nil {
 			return t, err
 		}
 	}
@@ -115,25 +109,22 @@ type benchStreamCell struct {
 	Result        *loadgen.StreamResult `json:"result"`
 }
 
-func writeBenchStream(path string, b benchStream) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // runStreamCell brings up a fresh 3-node tcpnet cluster with the given
-// (B, T), streams players through it at accelerated speed, and severs the
-// busiest primary's transport once every player is mid-stream.
+// (B, T), streams players through it at accelerated speed, and kills the
+// busiest primary once every player is mid-stream.
 func runStreamCell(spec media.Spec, players, backups int, prop time.Duration) (*loadgen.StreamResult, error) {
-	cluster, err := newStreamCluster(3, backups, prop, 2, spec)
+	c, err := cluster.New(cluster.TCP, cluster.Config{
+		Backups:     backups,
+		Propagation: prop,
+		Units:       2,
+		Service:     loadgen.StreamService(spec),
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
+	defer c.Close()
 	return loadgen.RunStream(loadgen.StreamConfig{
-		Target:      cluster,
+		Target:      c,
 		Players:     players,
 		Playbacks:   1,
 		Window:      16,
@@ -142,232 +133,19 @@ func runStreamCell(spec media.Spec, players, backups int, prop time.Duration) (*
 		MaxWall:     60 * time.Second,
 		ZipfS:       1.5,
 		InjectAfter: 400 * time.Millisecond,
-		Inject:      cluster.KillBusiestPrimary,
+		Inject:      func() { c.Crash(busiestPrimary(c)) },
 	})
 }
 
-// streamCluster is an in-process cluster whose nodes talk real TCP: each
-// server owns a tcpnet transport on a loopback port and serves every unit
-// with the vod chunk stream. It implements loadgen.Target.
-type streamCluster struct {
-	backups int
-	prop    time.Duration
-
-	pids    []ids.ProcessID
-	units   []ids.UnitName
-	addrs   map[ids.EndpointID]string
-	trs     map[ids.ProcessID]*tcpnet.Transport
-	servers map[ids.ProcessID]*core.Server
-
-	mu      sync.Mutex
-	nextCID ids.ClientID
-	killed  map[ids.ProcessID]bool
-}
-
-func newStreamCluster(nservers, backups int, prop time.Duration, nunits int, spec media.Spec) (*streamCluster, error) {
-	c := &streamCluster{
-		backups: backups,
-		prop:    prop,
-		addrs:   make(map[ids.EndpointID]string),
-		trs:     make(map[ids.ProcessID]*tcpnet.Transport),
-		servers: make(map[ids.ProcessID]*core.Server),
-		nextCID: 7000,
-		killed:  make(map[ids.ProcessID]bool),
-	}
-	for i := 1; i <= nservers; i++ {
-		c.pids = append(c.pids, ids.ProcessID(i))
-	}
-	for i := 0; i < nunits; i++ {
-		c.units = append(c.units, ids.UnitName(fmt.Sprintf("title-%d", i)))
-	}
-	// Listen first so every node knows every address before any dials.
-	for _, pid := range c.pids {
-		tr, err := tcpnet.New(tcpnet.Config{
-			Self:       ids.ProcessEndpoint(pid),
-			ListenAddr: "127.0.0.1:0",
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.trs[pid] = tr
-		c.addrs[ids.ProcessEndpoint(pid)] = tr.Addr()
-	}
-	for _, pid := range c.pids {
-		for ep, addr := range c.addrs {
-			if ep != ids.ProcessEndpoint(pid) {
-				c.trs[pid].AddPeer(ep, addr)
-			}
-		}
-	}
-	for _, pid := range c.pids {
-		units := make([]core.UnitConfig, 0, len(c.units))
-		for _, u := range c.units {
-			s := spec
-			s.Title = string(u)
-			units = append(units, core.UnitConfig{
-				Unit:              u,
-				Service:           vod.NewStream(media.Synthesize(s), nil),
-				Backups:           backups,
-				PropagationPeriod: prop,
-				IdleTimeout:       30 * time.Second,
-			})
-		}
-		srv, err := core.NewServer(core.Config{
-			Self:         pid,
-			Transport:    c.trs[pid],
-			World:        c.pids,
-			Units:        units,
-			FDInterval:   25 * time.Millisecond,
-			FDTimeout:    150 * time.Millisecond,
-			RoundTimeout: 250 * time.Millisecond,
-			AckInterval:  40 * time.Millisecond,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		if err := srv.Start(); err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.servers[pid] = srv
-	}
-	if err := c.waitFormed(30 * time.Second); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-func (c *streamCluster) waitFormed(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		formed := true
-		for _, pid := range c.pids {
-			for _, u := range c.units {
-				if len(c.servers[pid].GroupMembers(core.ContentGroup(u))) != len(c.pids) {
-					formed = false
-				}
-			}
-		}
-		if formed {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("exp: tcpnet stream cluster did not form within %v", timeout)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// NewClient implements loadgen.Target: each player gets its own tcpnet
-// transport on an ephemeral port, dialing the cluster over real TCP.
-func (c *streamCluster) NewClient(onFrom func(from ids.EndpointID)) (*core.Client, error) {
-	c.mu.Lock()
-	c.nextCID++
-	cid := c.nextCID
-	c.mu.Unlock()
-	tr, err := tcpnet.New(tcpnet.Config{
-		Self:       ids.ClientEndpoint(cid),
-		ListenAddr: "127.0.0.1:0",
-		Peers:      c.peerAddrs(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	var hook func(ids.EndpointID, ids.SessionID, uint64, wire.Message)
-	if onFrom != nil {
-		hook = func(from ids.EndpointID, _ ids.SessionID, _ uint64, _ wire.Message) { onFrom(from) }
-	}
-	return core.NewClient(core.ClientConfig{
-		Self:           cid,
-		Transport:      tr,
-		Servers:        append([]ids.ProcessID(nil), c.pids...),
-		RequestTimeout: time.Second,
-		Retries:        6,
-		OnResponseFrom: hook,
-	})
-}
-
-func (c *streamCluster) peerAddrs() map[ids.EndpointID]string {
-	out := make(map[ids.EndpointID]string, len(c.addrs))
-	for ep, addr := range c.addrs {
-		out[ep] = addr
-	}
-	return out
-}
-
-// Units implements loadgen.Target.
-func (c *streamCluster) Units() []ids.UnitName { return append([]ids.UnitName(nil), c.units...) }
-
-// Info implements loadgen.Target.
-func (c *streamCluster) Info() loadgen.TargetInfo {
-	return loadgen.TargetInfo{
-		Mode:          "tcpnet",
-		Servers:       len(c.pids),
-		Replication:   len(c.pids),
-		Backups:       c.backups,
-		PropagationMS: c.prop.Milliseconds(),
-	}
-}
-
-// KillBusiestPrimary severs the transport of the live server hosting the
-// most session primaries — an abrupt mid-stream process kill as the rest
-// of the cluster observes it (connections drop, heartbeats stop).
-func (c *streamCluster) KillBusiestPrimary() {
-	counts := make(map[ids.ProcessID]int)
-	for _, pid := range c.pids {
-		c.mu.Lock()
-		dead := c.killed[pid]
-		c.mu.Unlock()
-		if dead {
-			continue
-		}
-		for _, u := range c.units {
-			for _, s := range c.servers[pid].DBSnapshot(u).Sessions {
-				counts[s.Primary]++
-			}
-		}
-		break
-	}
-	victim := ids.ProcessID(0)
-	for _, pid := range c.pids {
-		c.mu.Lock()
-		dead := c.killed[pid]
-		c.mu.Unlock()
-		if dead {
-			continue
-		}
-		if victim == 0 || counts[pid] > counts[victim] {
+// busiestPrimary returns the live server hosting the most session
+// primaries (the lowest ID on a tie).
+func busiestPrimary(c *cluster.Cluster) ids.ProcessID {
+	counts := c.Primaries()
+	victim := ids.Nil
+	for _, pid := range c.Live() {
+		if victim == ids.Nil || counts[pid] > counts[victim] {
 			victim = pid
 		}
 	}
-	if victim == 0 {
-		return
-	}
-	c.mu.Lock()
-	c.killed[victim] = true
-	c.mu.Unlock()
-	_ = c.trs[victim].Close()
-	c.servers[victim].Stop()
-}
-
-// Close implements loadgen.Target.
-func (c *streamCluster) Close() {
-	for _, pid := range c.pids {
-		c.mu.Lock()
-		dead := c.killed[pid]
-		c.killed[pid] = true
-		c.mu.Unlock()
-		if dead {
-			continue
-		}
-		if srv := c.servers[pid]; srv != nil {
-			srv.Stop()
-		}
-		if tr := c.trs[pid]; tr != nil {
-			_ = tr.Close()
-		}
-	}
+	return victim
 }

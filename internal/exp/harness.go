@@ -1,381 +1,70 @@
 package exp
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
+	"hafw/internal/cluster"
 	"hafw/internal/core"
 	"hafw/internal/ids"
-	"hafw/internal/metrics"
-	"hafw/internal/store"
-	"hafw/internal/trace"
-	"hafw/internal/transport/memnet"
-	"hafw/internal/wire"
+	"hafw/internal/services/ledger"
 )
 
-// Timing profiles: experiments run on compressed timescales so a full
-// suite fits in seconds; the protocol constants scale together.
-const (
-	fdInterval   = 10 * time.Millisecond
-	fdTimeout    = 60 * time.Millisecond
-	roundTimeout = 100 * time.Millisecond
-	ackInterval  = 15 * time.Millisecond
-)
+// Probes the live experiments run against an in-process cluster
+// (internal/cluster). Experiments on the ledger service ask which tags a
+// server holds through ledgerHistory.
 
-// --- ledger: the minimal instrumented service used by several experiments ---
+// ledgerService installs a fresh tag ledger on every server.
+func ledgerService(ids.UnitName) core.Service { return ledger.New() }
 
-// LedgerUpdate is a tagged client context update.
-type LedgerUpdate struct {
-	// Tag identifies the update for loss accounting.
-	Tag string
-	// Echo requests an immediate response from the primary.
-	Echo bool
-}
-
-// WireName implements wire.Message.
-func (LedgerUpdate) WireName() string { return "exp.LedgerUpdate" }
-
-// LedgerEcho is the primary's response to an Echo update.
-type LedgerEcho struct {
-	// Tag echoes the update.
-	Tag string
-}
-
-// WireName implements wire.Message.
-func (LedgerEcho) WireName() string { return "exp.LedgerEcho" }
-
-func init() {
-	wire.Register(LedgerUpdate{})
-	wire.Register(LedgerEcho{})
-}
-
-// ledgerService records every session's applied updates so experiments can
-// ask "does the current primary know update X?" — the paper's lost-update
-// criterion.
-type ledgerService struct {
-	mu       sync.Mutex
-	sessions map[ids.SessionID]*ledgerSession
-}
-
-func newLedgerService() *ledgerService {
-	return &ledgerService{sessions: make(map[ids.SessionID]*ledgerSession)}
-}
-
-// NewSession implements core.Service.
-func (l *ledgerService) NewSession(unit ids.UnitName, sid ids.SessionID, client ids.ClientID) core.Session {
-	s := &ledgerSession{}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.sessions[sid] = s
-	return s
-}
-
-func (l *ledgerService) session(sid ids.SessionID) *ledgerSession {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sessions[sid]
-}
-
-type ledgerSession struct {
-	mu     sync.Mutex
-	tags   []string
-	active bool
-	r      core.Responder
-}
-
-func (s *ledgerSession) ApplyUpdate(body wire.Message) {
-	u, ok := body.(LedgerUpdate)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	s.tags = append(s.tags, u.Tag)
-	active, r := s.active, s.r
-	s.mu.Unlock()
-	if u.Echo && active && r != nil {
-		r.Send(LedgerEcho{Tag: u.Tag})
-	}
-}
-
-func (s *ledgerSession) Activate(r core.Responder) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.active, s.r = true, r
-}
-
-func (s *ledgerSession) Deactivate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.active, s.r = false, nil
-}
-
-func (s *ledgerSession) Close() { s.Deactivate() }
-
-func (s *ledgerSession) Snapshot() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.tags); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-func (s *ledgerSession) Restore(ctx []byte) {
-	if len(ctx) == 0 {
-		return
-	}
-	var tags []string
-	if err := gob.NewDecoder(bytes.NewReader(ctx)).Decode(&tags); err != nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tags = tags
-}
-
-func (s *ledgerSession) Sync(ctx []byte) {
-	var tags []string
-	if err := gob.NewDecoder(bytes.NewReader(ctx)).Decode(&tags); err != nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(tags) > len(s.tags) {
-		s.tags = tags
-	}
-}
-
-func (s *ledgerSession) has(tag string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range s.tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// --- cluster harness ---
-
-// ServiceFactory builds the per-server service instance for the cluster's
-// single content unit.
-type ServiceFactory func(self ids.ProcessID) core.Service
-
-// ClusterConfig parameterizes a live experiment cluster.
-type ClusterConfig struct {
-	// Servers is the number of framework servers.
-	Servers int
-	// Backups is the per-session backup count (the paper's B).
-	Backups int
-	// Propagation is the context propagation period (the paper's T).
-	Propagation time.Duration
-	// Unit is the content unit name. Empty means "u".
-	Unit ids.UnitName
-	// Factory builds each server's service. Nil installs the ledger
-	// service.
-	Factory ServiceFactory
-	// NetConfig tunes the in-memory network.
-	NetConfig memnet.Config
-	// DataDir, if set, gives every server a durable store under
-	// DataDir/p<pid>, enabling StopServer/RestartServer crash-recovery
-	// experiments.
-	DataDir string
-	// Fsync is the store policy when DataDir is set.
-	Fsync store.Policy
-}
-
-// Cluster is a live framework deployment on an in-memory network.
-type Cluster struct {
-	// Net is the network fabric (fault injection target).
-	Net *memnet.Network
-	// Tracer records promote/demote/crash events.
-	Tracer *trace.Recorder
-	// Unit is the content unit.
-	Unit ids.UnitName
-
-	cfg     ClusterConfig
-	mu      sync.Mutex
-	servers map[ids.ProcessID]*core.Server
-	ledgers map[ids.ProcessID]*ledgerService
-	regs    map[ids.ProcessID]*metrics.Registry
-	pids    []ids.ProcessID
-	nextCID ids.ClientID
-}
-
-// NewCluster brings up the deployment and waits for group formation.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.Unit == "" {
-		cfg.Unit = "u"
-	}
-	c := &Cluster{
-		Net:     memnet.New(cfg.NetConfig),
-		Tracer:  trace.NewRecorder(),
-		Unit:    cfg.Unit,
-		cfg:     cfg,
-		servers: make(map[ids.ProcessID]*core.Server),
-		ledgers: make(map[ids.ProcessID]*ledgerService),
-		regs:    make(map[ids.ProcessID]*metrics.Registry),
-		nextCID: 1000,
-	}
-	for i := 1; i <= cfg.Servers; i++ {
-		c.pids = append(c.pids, ids.ProcessID(i))
-	}
-	for _, pid := range c.pids {
-		if err := c.startServer(pid); err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
-	if err := c.WaitFormed(10 * time.Second); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// startServer launches one framework server.
-func (c *Cluster) startServer(pid ids.ProcessID) error {
-	ep, err := c.Net.Attach(ids.ProcessEndpoint(pid))
-	if err != nil {
-		return err
-	}
-	var svc core.Service
-	if c.cfg.Factory != nil {
-		svc = c.cfg.Factory(pid)
-	} else {
-		led := newLedgerService()
-		c.ledgers[pid] = led
-		svc = led
-	}
-	reg := metrics.NewRegistry()
-	var dataDir string
-	if c.cfg.DataDir != "" {
-		dataDir = filepath.Join(c.cfg.DataDir, fmt.Sprintf("p%d", pid))
-	}
-	srv, err := core.NewServer(core.Config{
-		Self:      pid,
-		Transport: ep,
-		World:     c.pids,
-		Units: []core.UnitConfig{{
-			Unit:              c.Unit,
-			Service:           svc,
-			Backups:           c.cfg.Backups,
-			PropagationPeriod: c.cfg.Propagation,
-		}},
-		Metrics:       reg,
-		Tracer:        c.Tracer,
-		FDInterval:    fdInterval,
-		FDTimeout:     fdTimeout,
-		RoundTimeout:  roundTimeout,
-		AckInterval:   ackInterval,
-		DataDir:       dataDir,
-		Fsync:         c.cfg.Fsync,
-		FsyncInterval: 10 * time.Millisecond,
+// newLedgerCluster brings up a memnet cluster serving one ledger unit.
+func newLedgerCluster(servers, backups int, prop time.Duration) (*cluster.Cluster, error) {
+	return cluster.New(cluster.Memnet, cluster.Config{
+		Servers: servers, Backups: backups, Propagation: prop, Service: ledgerService,
 	})
-	if err != nil {
-		return err
-	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.servers[pid] = srv
-	c.regs[pid] = reg
-	c.mu.Unlock()
-	return nil
 }
 
-// AddServer spawns an extra server (a join) and introduces it to the
-// world.
-func (c *Cluster) AddServer() (ids.ProcessID, error) {
-	c.mu.Lock()
-	pid := c.pids[len(c.pids)-1] + 1
-	c.pids = append(c.pids, pid)
-	existing := make([]*core.Server, 0, len(c.servers))
-	for _, s := range c.servers {
-		existing = append(existing, s)
+// ledgerHistory returns the tag history server pid holds for sid, and
+// whether it holds a replica at all.
+func ledgerHistory(c *cluster.Cluster, pid ids.ProcessID, sid ids.SessionID) ([]string, bool) {
+	led, _ := c.Service(pid, c.Units()[0]).(*ledger.Service)
+	if led == nil {
+		return nil, false
 	}
-	c.mu.Unlock()
-	if err := c.startServer(pid); err != nil {
-		return ids.Nil, err
-	}
-	for _, s := range existing {
-		s.AddPeer(pid)
-	}
-	return pid, nil
+	return led.History(sid)
 }
 
-// WaitFormed blocks until every live server sees the full content group.
-func (c *Cluster) WaitFormed(timeout time.Duration) error {
+// waitPrimaryChange blocks until the session's primary differs from old.
+func waitPrimaryChange(c *cluster.Cluster, sid ids.SessionID, old ids.ProcessID, timeout time.Duration) (ids.ProcessID, error) {
+	unit := c.Units()[0]
 	deadline := time.Now().Add(timeout)
 	for {
-		if c.formed() {
-			return nil
+		if p := c.PrimaryOf(unit, sid); p != ids.Nil && p != old {
+			return p, nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("exp: cluster did not form within %v", timeout)
+			return ids.Nil, fmt.Errorf("exp: no primary change for session %d within %v", sid, timeout)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-func (c *Cluster) formed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	want := 0
-	for _, pid := range c.pids {
-		if !c.Net.Crashed(ids.ProcessEndpoint(pid)) {
-			want++
-		}
-	}
-	for _, pid := range c.pids {
-		if c.Net.Crashed(ids.ProcessEndpoint(pid)) {
-			continue
-		}
-		if got := len(c.servers[pid].GroupMembers(core.ContentGroup(c.Unit))); got != want {
-			return false
-		}
-	}
-	return true
-}
-
-// WaitConverged blocks until every live server holds exactly `sessions`
-// sessions and all live databases have identical checksums.
-func (c *Cluster) WaitConverged(sessions int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if c.converged(sessions) {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("exp: databases did not converge to %d sessions within %v:\n%s",
-				sessions, timeout, c.stateDump())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// WaitSettled blocks until the databases are converged AND the shared
-// checksum has stopped moving for `window`. Convergence alone can be
-// satisfied by identically stale databases — all members agreeing on
-// session records whose contexts the periodic propagation has not flushed
-// yet — so callers that need the propagated state on disk (for example,
-// before stopping a server whose WAL is about to be measured) must wait
-// for the checksum to hold still across at least one propagation period.
-func (c *Cluster) WaitSettled(sessions int, window, timeout time.Duration) error {
+// waitSettled blocks until every live server holds exactly `sessions`
+// sessions with identical database checksums AND the shared checksum has
+// stopped moving for `window`. Convergence alone can be satisfied by
+// identically stale databases — all members agreeing on session records
+// whose contexts the periodic propagation has not flushed yet — so callers
+// that need the propagated state on disk (for example, before stopping a
+// server whose WAL is about to be measured) must wait for the checksum to
+// hold still across at least one propagation period.
+func waitSettled(c *cluster.Cluster, sessions int, window, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	var ref [32]byte
 	stableSince := time.Time{}
 	for {
-		cs, ok := c.convergedChecksum(sessions)
+		cs, ok := convergedChecksum(c, sessions)
 		switch {
 		case !ok:
 			stableSince = time.Time{}
@@ -386,60 +75,25 @@ func (c *Cluster) WaitSettled(sessions int, window, timeout time.Duration) error
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("exp: databases did not settle at %d sessions within %v:\n%s",
-				sessions, timeout, c.stateDump())
+				sessions, timeout, stateDump(c))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// stateDump renders every live server's per-session view, for convergence
-// failure messages.
-func (c *Cluster) stateDump() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var b strings.Builder
-	for _, pid := range c.pids {
-		if c.Net.Crashed(ids.ProcessEndpoint(pid)) {
-			fmt.Fprintf(&b, "p%d: crashed\n", pid)
-			continue
-		}
-		srv := c.servers[pid]
-		if srv == nil {
-			fmt.Fprintf(&b, "p%d: stopped\n", pid)
-			continue
-		}
-		snap := srv.DBSnapshot(c.Unit)
-		fmt.Fprintf(&b, "p%d: members=%v", pid, srv.GroupMembers(core.ContentGroup(c.Unit)))
-		for _, s := range snap.Sessions {
-			fmt.Fprintf(&b, " [sid=%d prim=%d back=%v stamp=%d]", s.ID, s.Primary, s.Backups, s.Stamp)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-func (c *Cluster) converged(sessions int) bool {
-	_, ok := c.convergedChecksum(sessions)
-	return ok
-}
-
 // convergedChecksum reports whether every live server holds exactly
 // `sessions` sessions with identical database checksums, and returns the
 // shared checksum when they do.
-func (c *Cluster) convergedChecksum(sessions int) ([32]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func convergedChecksum(c *cluster.Cluster, sessions int) ([32]byte, bool) {
+	unit := c.Units()[0]
 	var ref [32]byte
 	first := true
-	for _, pid := range c.pids {
-		if c.Net.Crashed(ids.ProcessEndpoint(pid)) {
-			continue
-		}
-		srv := c.servers[pid]
-		if srv == nil || srv.DBSessions(c.Unit) != sessions {
+	for _, pid := range c.Live() {
+		srv := c.Server(pid)
+		if srv == nil || srv.DBSessions(unit) != sessions {
 			return ref, false
 		}
-		cs := srv.DBChecksum(c.Unit)
+		cs := srv.DBChecksum(unit)
 		if first {
 			ref, first = cs, false
 		} else if cs != ref {
@@ -449,140 +103,23 @@ func (c *Cluster) convergedChecksum(sessions int) ([32]byte, bool) {
 	return ref, !first
 }
 
-// Server returns a server by process ID.
-func (c *Cluster) Server(pid ids.ProcessID) *core.Server {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.servers[pid]
-}
-
-// Servers lists the process IDs.
-func (c *Cluster) Servers() []ids.ProcessID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]ids.ProcessID(nil), c.pids...)
-}
-
-// Ledger returns a server's ledger service (nil when a custom factory is
-// installed).
-func (c *Cluster) Ledger(pid ids.ProcessID) *ledgerService {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ledgers[pid]
-}
-
-// Metrics returns a server's registry.
-func (c *Cluster) Metrics(pid ids.ProcessID) *metrics.Registry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.regs[pid]
-}
-
-// Crash kills a server and records it in the trace.
-func (c *Cluster) Crash(pid ids.ProcessID) {
-	c.Net.Crash(ids.ProcessEndpoint(pid))
-	c.Tracer.Record(pid, trace.KindCrash, 0, "injected")
-}
-
-// Revive brings a crashed server back and records it in the trace.
-func (c *Cluster) Revive(pid ids.ProcessID) {
-	c.Net.Revive(ids.ProcessEndpoint(pid))
-	c.Tracer.Record(pid, trace.KindRevive, 0, "injected")
-}
-
-// StopServer kills a server process outright: the network drops it first
-// (a crash, not a graceful leave), then the process is torn down. Its
-// data directory, if any, survives for RestartServer.
-func (c *Cluster) StopServer(pid ids.ProcessID) {
-	c.mu.Lock()
-	srv := c.servers[pid]
-	c.mu.Unlock()
-	c.Net.Crash(ids.ProcessEndpoint(pid))
-	c.Tracer.Record(pid, trace.KindCrash, 0, "stop")
-	if srv != nil {
-		srv.Stop()
-	}
-}
-
-// RestartServer relaunches a stopped server as a fresh process with the
-// same identity and data directory: with DataDir set it recovers its unit
-// database from disk and rejoins warm. The restarted server gets a fresh
-// metrics registry, so its counters measure only the rejoin.
-func (c *Cluster) RestartServer(pid ids.ProcessID) error {
-	c.Net.Revive(ids.ProcessEndpoint(pid))
-	c.Tracer.Record(pid, trace.KindRevive, 0, "restart")
-	return c.startServer(pid)
-}
-
-// WipeData deletes a stopped server's data directory, turning its next
-// RestartServer into a cold join.
-func (c *Cluster) WipeData(pid ids.ProcessID) error {
-	if c.cfg.DataDir == "" {
-		return nil
-	}
-	return os.RemoveAll(filepath.Join(c.cfg.DataDir, fmt.Sprintf("p%d", pid)))
-}
-
-// PrimaryOf asks the first live server for a session's primary.
-func (c *Cluster) PrimaryOf(sid ids.SessionID) ids.ProcessID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, pid := range c.pids {
-		if c.Net.Crashed(ids.ProcessEndpoint(pid)) {
+// stateDump renders every live server's per-session view, for convergence
+// failure messages.
+func stateDump(c *cluster.Cluster) string {
+	unit := c.Units()[0]
+	live := c.Live()
+	var b strings.Builder
+	for _, pid := range c.Servers() {
+		srv := c.Server(pid)
+		if srv == nil || !slices.Contains(live, pid) {
+			fmt.Fprintf(&b, "p%d: down\n", pid)
 			continue
 		}
-		if p := c.servers[pid].PrimaryOf(c.Unit, sid); p != ids.Nil {
-			return p
+		fmt.Fprintf(&b, "p%d: members=%v", pid, srv.GroupMembers(core.ContentGroup(unit)))
+		for _, s := range srv.DBSnapshot(unit).Sessions {
+			fmt.Fprintf(&b, " [sid=%d prim=%d back=%v stamp=%d]", s.ID, s.Primary, s.Backups, s.Stamp)
 		}
+		b.WriteString("\n")
 	}
-	return ids.Nil
-}
-
-// WaitPrimaryChange blocks until the session's primary differs from old.
-func (c *Cluster) WaitPrimaryChange(sid ids.SessionID, old ids.ProcessID, timeout time.Duration) (ids.ProcessID, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		if p := c.PrimaryOf(sid); p != ids.Nil && p != old {
-			return p, nil
-		}
-		if time.Now().After(deadline) {
-			return ids.Nil, fmt.Errorf("exp: no primary change for session %d within %v", sid, timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// NewClient attaches a framework client.
-func (c *Cluster) NewClient(onFrom func(from ids.EndpointID, sid ids.SessionID, seq uint64, body wire.Message)) (*core.Client, error) {
-	c.mu.Lock()
-	c.nextCID++
-	cid := c.nextCID
-	pids := append([]ids.ProcessID(nil), c.pids...)
-	c.mu.Unlock()
-	ep, err := c.Net.Attach(ids.ClientEndpoint(cid))
-	if err != nil {
-		return nil, err
-	}
-	return core.NewClient(core.ClientConfig{
-		Self:           cid,
-		Transport:      ep,
-		Servers:        pids,
-		RequestTimeout: 400 * time.Millisecond,
-		Retries:        6,
-		OnResponseFrom: onFrom,
-	})
-}
-
-// Close tears the cluster down.
-func (c *Cluster) Close() {
-	c.mu.Lock()
-	servers := make([]*core.Server, 0, len(c.servers))
-	for _, s := range c.servers {
-		servers = append(servers, s)
-	}
-	c.mu.Unlock()
-	for _, s := range servers {
-		s.Stop()
-	}
-	c.Net.Close()
+	return b.String()
 }

@@ -2,11 +2,14 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"hafw/internal/cluster"
 	"hafw/internal/core"
 	"hafw/internal/ids"
+	"hafw/internal/services/ledger"
 	"hafw/internal/services/vod"
 	"hafw/internal/trace"
 	"hafw/internal/wire"
@@ -22,7 +25,7 @@ func E1SinglePrimary(sessions int) (Table, error) {
 		Claim:   "\"exactly one member will elect itself as the primary server\" when views are precise (§4)",
 		Columns: []string{"phase", "sessions", "promotes", "dual-primary violations"},
 	}
-	c, err := NewCluster(ClusterConfig{Servers: 3, Backups: 1, Propagation: 50 * time.Millisecond})
+	c, err := newLedgerCluster(3, 1, 50*time.Millisecond)
 	if err != nil {
 		return t, err
 	}
@@ -36,12 +39,12 @@ func E1SinglePrimary(sessions int) (Table, error) {
 
 	var open []*core.ClientSession
 	for i := 0; i < sessions; i++ {
-		s, err := client.StartSession(c.Unit, nil)
+		s, err := client.StartSession(c.Units()[0], nil)
 		if err != nil {
 			return t, fmt.Errorf("start session %d: %w", i, err)
 		}
 		open = append(open, s)
-		if err := s.Send(LedgerUpdate{Tag: fmt.Sprintf("t%d", i)}); err != nil {
+		if err := s.Send(ledger.Update{Tag: fmt.Sprintf("t%d", i)}); err != nil {
 			return t, err
 		}
 	}
@@ -51,9 +54,7 @@ func E1SinglePrimary(sessions int) (Table, error) {
 	t.AddRow("stable", fmt.Sprintf("%d", sessions), fmt.Sprintf("%d", promotes), fmt.Sprintf("%d", len(stableViol)))
 
 	// Crash a primary-heavy server; survivors must take over exclusively.
-	victim := c.PrimaryOf(open[0].ID)
-	c.Crash(victim)
-	if _, err := c.WaitPrimaryChange(open[0].ID, victim, 10*time.Second); err != nil {
+	if err := crashPrimary(c, open[0].ID); err != nil {
 		return t, err
 	}
 	time.Sleep(400 * time.Millisecond)
@@ -114,7 +115,7 @@ func E3LiveLostUpdate(trials int) (Table, error) {
 func runLostUpdateScenario(backups int, prop time.Duration, killBackups bool, settle time.Duration, trials int) (int, error) {
 	// Enough servers that a full session group can die and someone
 	// remains.
-	c, err := NewCluster(ClusterConfig{Servers: backups + 3, Backups: backups, Propagation: prop})
+	c, err := newLedgerCluster(backups+3, backups, prop)
 	if err != nil {
 		return 0, err
 	}
@@ -127,43 +128,29 @@ func runLostUpdateScenario(backups int, prop time.Duration, killBackups bool, se
 
 	lost := 0
 	for trial := 0; trial < trials; trial++ {
-		sess, err := client.StartSession(c.Unit, nil)
+		sess, err := client.StartSession(c.Units()[0], nil)
 		if err != nil {
 			return 0, fmt.Errorf("trial %d start: %w", trial, err)
 		}
 		tag := fmt.Sprintf("trial-%d", trial)
-		if err := sess.Send(LedgerUpdate{Tag: tag}); err != nil {
+		if err := sess.Send(ledger.Update{Tag: tag}); err != nil {
 			return 0, err
 		}
 		time.Sleep(settle)
 
-		primary := c.PrimaryOf(sess.ID)
+		primary := c.PrimaryOf(c.Units()[0], sess.ID)
 		if primary == ids.Nil {
 			return 0, fmt.Errorf("trial %d: no primary", trial)
 		}
-		var killed []ids.ProcessID
-		c.Crash(primary)
-		killed = append(killed, primary)
+		killed := []ids.ProcessID{primary}
 		if killBackups {
-			// Kill every other session-group member too.
-			for _, pid := range c.Servers() {
-				if pid == primary {
-					continue
-				}
-				srv := c.Server(pid)
-				if srv == nil {
-					continue
-				}
-				if led := c.Ledger(pid); led != nil && led.session(sess.ID) != nil && !c.Net.Crashed(ids.ProcessEndpoint(pid)) {
-					// A replica exists here: it is primary or backup.
-					if contains(c.groupOf(sess.ID), pid) {
-						c.Crash(pid)
-						killed = append(killed, pid)
-					}
-				}
-			}
+			// Kill every session-group member, as the primary sees the group.
+			killed = c.Server(primary).GroupMembers(core.SessionGroup(c.Units()[0], sess.ID))
 		}
-		newPrimary, err := c.WaitPrimaryChange(sess.ID, primary, 10*time.Second)
+		for _, pid := range killed {
+			c.Crash(pid)
+		}
+		newPrimary, err := waitPrimaryChange(c, sess.ID, primary, 10*time.Second)
 		if err != nil {
 			return 0, fmt.Errorf("trial %d: %w", trial, err)
 		}
@@ -171,11 +158,9 @@ func runLostUpdateScenario(backups int, prop time.Duration, killBackups bool, se
 		deadline := time.Now().Add(2 * time.Second)
 		known := false
 		for time.Now().Before(deadline) {
-			if led := c.Ledger(newPrimary); led != nil {
-				if ls := led.session(sess.ID); ls != nil && ls.has(tag) {
-					known = true
-					break
-				}
+			if tags, _ := ledgerHistory(c, newPrimary, sess.ID); slices.Contains(tags, tag) {
+				known = true
+				break
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -184,7 +169,9 @@ func runLostUpdateScenario(backups int, prop time.Duration, killBackups bool, se
 		}
 		// Revive for the next trial and let the world re-form.
 		for _, pid := range killed {
-			c.Revive(pid)
+			if err := c.Revive(pid); err != nil {
+				return 0, err
+			}
 		}
 		if err := c.WaitFormed(10 * time.Second); err != nil {
 			return 0, err
@@ -193,61 +180,49 @@ func runLostUpdateScenario(backups int, prop time.Duration, killBackups bool, se
 	return lost, nil
 }
 
-// groupOf returns the session-group membership recorded in the unit
-// database at the first live server.
-func (c *Cluster) groupOf(sid ids.SessionID) []ids.ProcessID {
-	for _, pid := range c.Servers() {
-		if c.Net.Crashed(ids.ProcessEndpoint(pid)) {
-			continue
-		}
-		srv := c.Server(pid)
-		if srv == nil {
-			continue
-		}
-		if members := srv.GroupMembers(core.SessionGroup(c.Unit, sid)); len(members) > 0 {
-			return members
-		}
-	}
-	return nil
-}
-
-func contains(ps []ids.ProcessID, p ids.ProcessID) bool {
-	for _, q := range ps {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
-
-// vodCluster builds a VoD cluster and starts one streaming session.
-func vodCluster(backups int, prop time.Duration, fps float64, policy vod.TakeoverPolicy) (*Cluster, *core.Client, *core.ClientSession, *vod.Player, vod.Movie, error) {
-	movie := vod.Movie{Name: "movie", Frames: 100000, FPS: fps, GOP: 12, FrameSize: 64}
-	c, err := NewCluster(ClusterConfig{
-		Servers:     3,
+// newVoDCluster brings up a 3-server memnet cluster streaming movie.
+func newVoDCluster(backups int, prop time.Duration, movie vod.Movie, policy vod.TakeoverPolicy) (*cluster.Cluster, error) {
+	return cluster.New(cluster.Memnet, cluster.Config{
 		Backups:     backups,
 		Propagation: prop,
-		Unit:        movie.Name,
-		Factory: func(self ids.ProcessID) core.Service {
-			return vod.New(movie, policy)
-		},
+		Service:     func(ids.UnitName) core.Service { return vod.New(movie, policy) },
 	})
+}
+
+// crashPrimary crashes a session's primary and waits for the takeover.
+func crashPrimary(c *cluster.Cluster, sid ids.SessionID) error {
+	victim := c.PrimaryOf(c.Units()[0], sid)
+	c.Crash(victim)
+	_, err := waitPrimaryChange(c, sid, victim, 10*time.Second)
+	return err
+}
+
+// vodFailover streams one session for `stream`, crashes its primary,
+// streams as long again from the new primary, and returns what the client
+// player saw.
+func vodFailover(backups int, prop time.Duration, fps float64, policy vod.TakeoverPolicy, stream time.Duration) (vod.PlayerStats, error) {
+	movie := vod.Movie{Name: "movie", Frames: 100000, FPS: fps, GOP: 12, FrameSize: 64}
+	c, err := newVoDCluster(backups, prop, movie, policy)
 	if err != nil {
-		return nil, nil, nil, nil, movie, err
+		return vod.PlayerStats{}, err
 	}
+	defer c.Close()
 	client, err := c.NewClient(nil)
 	if err != nil {
-		c.Close()
-		return nil, nil, nil, nil, movie, err
+		return vod.PlayerStats{}, err
 	}
+	defer client.Close()
 	player := vod.NewPlayer(movie)
-	sess, err := client.StartSession(movie.Name, player.Handler)
+	sess, err := client.StartSession(c.Units()[0], player.Handler)
 	if err != nil {
-		client.Close()
-		c.Close()
-		return nil, nil, nil, nil, movie, err
+		return vod.PlayerStats{}, err
 	}
-	return c, client, sess, player, movie, nil
+	time.Sleep(stream)
+	if err := crashPrimary(c, sess.ID); err != nil {
+		return vod.PlayerStats{}, err
+	}
+	time.Sleep(stream)
+	return player.Stats(), nil
 }
 
 // E4DuplicateWindow crashes streaming primaries and measures the
@@ -261,25 +236,11 @@ func E4DuplicateWindow() (Table, error) {
 	}
 	const fps = 100.0
 	for _, prop := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
-		c, client, sess, player, _, err := vodCluster(1, prop, fps, vod.ResendUncertain)
+		st, err := vodFailover(1, prop, fps, vod.ResendUncertain, 400*time.Millisecond)
 		if err != nil {
 			return t, err
 		}
-		time.Sleep(400 * time.Millisecond) // stream
-
-		victim := c.PrimaryOf(sess.ID)
-		c.Crash(victim)
-		if _, err := c.WaitPrimaryChange(sess.ID, victim, 10*time.Second); err != nil {
-			client.Close()
-			c.Close()
-			return t, err
-		}
-		time.Sleep(400 * time.Millisecond) // stream from the new primary
-		st := player.Stats()
-		client.Close()
-		c.Close()
-
-		bound := fps*prop.Seconds() + fps*float64(ackInterval)/float64(time.Second) + 2
+		bound := fps*prop.Seconds() + fps*cluster.Memnet.Timers().AckInterval.Seconds() + 2
 		t.AddRow(prop.String(), fmt.Sprintf("%.0f", fps),
 			fmt.Sprintf("%d", st.Duplicates), fmt.Sprintf("%.0f", bound),
 			fmt.Sprintf("%d", st.MissingTotal))
@@ -297,34 +258,37 @@ func E5Takeover() (Table, error) {
 		Claim:   "crash-only view changes allow servers \"to quickly take over failed servers' clients\" with no extra message exchange; joins exchange state first (§3.4)",
 		Columns: []string{"event", "max response gap"},
 	}
-	const fps = 100.0
-	c, client, sess, _, movie, err := vodCluster(1, 50*time.Millisecond, fps, vod.ResendUncertain)
+	movie := vod.Movie{Name: "movie", Frames: 100000, FPS: 100, GOP: 12, FrameSize: 64}
+	c, err := newVoDCluster(1, 50*time.Millisecond, movie, vod.ResendUncertain)
 	if err != nil {
 		return t, err
 	}
 	defer c.Close()
+	client, err := c.NewClient(nil)
+	if err != nil {
+		return t, err
+	}
 	defer client.Close()
-
+	// One session streams as background load; a second one's response
+	// spacing is the measured gap.
+	if _, err := client.StartSession(c.Units()[0], vod.NewPlayer(movie).Handler); err != nil {
+		return t, err
+	}
 	gap := newGapTracker()
-	// Re-register the handler through a second session? Not needed: track
-	// gaps via a wrapper player on a second streaming session.
-	player2 := vod.NewPlayer(movie)
-	sess2, err := client.StartSession(movie.Name, func(seq uint64, body wire.Message) {
+	player := vod.NewPlayer(movie)
+	sess, err := client.StartSession(c.Units()[0], func(seq uint64, body wire.Message) {
 		gap.observe()
-		player2.Handler(seq, body)
+		player.Handler(seq, body)
 	})
 	if err != nil {
 		return t, err
 	}
-	_ = sess
 
 	time.Sleep(400 * time.Millisecond)
 	baseline := gap.reset()
 	t.AddRow("baseline (no faults)", baseline.String())
 
-	victim := c.PrimaryOf(sess2.ID)
-	c.Crash(victim)
-	if _, err := c.WaitPrimaryChange(sess2.ID, victim, 10*time.Second); err != nil {
+	if err := crashPrimary(c, sess.ID); err != nil {
 		return t, err
 	}
 	time.Sleep(400 * time.Millisecond)
@@ -339,7 +303,7 @@ func E5Takeover() (Table, error) {
 	joinGap := gap.reset()
 	t.AddRow("server join (state exchange + rebalance)", joinGap.String())
 
-	t.AddNote("crash gaps are bounded by failure detection (%v) plus view agreement, not by any state transfer; the join's exchange happens off the critical path of live sessions", fdTimeout)
+	t.AddNote("crash gaps are bounded by failure detection (%v) plus view agreement, not by any state transfer; the join's exchange happens off the critical path of live sessions", cluster.Memnet.Timers().FDTimeout)
 	return t, nil
 }
 
@@ -394,7 +358,7 @@ func E6LoadSweep(sessions int, updateInterval time.Duration) (Table, error) {
 }
 
 func runLoadPoint(prop time.Duration, backups, sessions int, updateInterval time.Duration) ([]string, error) {
-	c, err := NewCluster(ClusterConfig{Servers: 4, Backups: backups, Propagation: prop})
+	c, err := newLedgerCluster(4, backups, prop)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +371,7 @@ func runLoadPoint(prop time.Duration, backups, sessions int, updateInterval time
 
 	var open []*core.ClientSession
 	for i := 0; i < sessions; i++ {
-		s, err := client.StartSession(c.Unit, nil)
+		s, err := client.StartSession(c.Units()[0], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -415,11 +379,14 @@ func runLoadPoint(prop time.Duration, backups, sessions int, updateInterval time
 	}
 
 	// Measure a steady window while clients send updates.
-	c.Net.ResetStats()
-	var before uint64
-	for _, pid := range c.Servers() {
-		before += c.Metrics(pid).Counters()["propagation_entries_applied"]
+	propagated := func() (n uint64) {
+		for _, pid := range c.Servers() {
+			n += c.Metrics(pid).Counters()["propagation_entries_applied"]
+		}
+		return n
 	}
+	c.Net.ResetStats()
+	before := propagated()
 	const window = time.Second
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -435,7 +402,7 @@ func runLoadPoint(prop time.Duration, backups, sessions int, updateInterval time
 				case <-stop:
 					return
 				case <-tick.C:
-					_ = s.Send(LedgerUpdate{Tag: fmt.Sprintf("s%d-%d", i, n)})
+					_ = s.Send(ledger.Update{Tag: fmt.Sprintf("s%d-%d", i, n)})
 					n++
 				}
 			}
@@ -446,10 +413,7 @@ func runLoadPoint(prop time.Duration, backups, sessions int, updateInterval time
 	wg.Wait()
 
 	stats := c.Net.Stats()
-	var after uint64
-	for _, pid := range c.Servers() {
-		after += c.Metrics(pid).Counters()["propagation_entries_applied"]
-	}
+	after := propagated()
 	secs := window.Seconds()
 	return []string{
 		prop.String(),
@@ -487,10 +451,7 @@ func E7DualPrimary() (Table, error) {
 
 func runDualPrimaryScenario(transitive bool) (sources int, dualWindows int, err error) {
 	movie := vod.Movie{Name: "movie", Frames: 100000, FPS: 100, GOP: 12, FrameSize: 32}
-	c, err := NewCluster(ClusterConfig{
-		Servers: 3, Backups: 1, Propagation: 50 * time.Millisecond, Unit: movie.Name,
-		Factory: func(self ids.ProcessID) core.Service { return vod.New(movie, vod.ResendUncertain) },
-	})
+	c, err := newVoDCluster(1, 50*time.Millisecond, movie, vod.ResendUncertain)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -502,7 +463,7 @@ func runDualPrimaryScenario(transitive bool) (sources int, dualWindows int, err 
 	}
 	var mu sync.Mutex
 	var arrivals []arrival
-	client, err := c.NewClient(func(from ids.EndpointID, sid ids.SessionID, seq uint64, body wire.Message) {
+	client, err := c.NewClient(func(from ids.EndpointID) {
 		mu.Lock()
 		defer mu.Unlock()
 		arrivals = append(arrivals, arrival{from: from, at: time.Now()})
@@ -512,12 +473,12 @@ func runDualPrimaryScenario(transitive bool) (sources int, dualWindows int, err 
 	}
 	defer client.Close()
 
-	sess, err := client.StartSession(movie.Name, nil)
+	sess, err := client.StartSession(c.Units()[0], nil)
 	if err != nil {
 		return 0, 0, err
 	}
 	time.Sleep(300 * time.Millisecond)
-	primary := c.PrimaryOf(sess.ID)
+	primary := c.PrimaryOf(c.Units()[0], sess.ID)
 
 	// Isolate the primary from the other servers.
 	var others []ids.ProcessID
@@ -576,7 +537,7 @@ func E8Migration() (Table, error) {
 		Claim:   "\"a client may be migrated from one server to another during an on-going session; the client is unaware of changes in the service provider\" (§1)",
 		Columns: []string{"phase", "updates sent", "echoes received", "updates lost at primary"},
 	}
-	c, err := NewCluster(ClusterConfig{Servers: 3, Backups: 1, Propagation: 50 * time.Millisecond})
+	c, err := newLedgerCluster(3, 1, 50*time.Millisecond)
 	if err != nil {
 		return t, err
 	}
@@ -589,8 +550,8 @@ func E8Migration() (Table, error) {
 		return t, err
 	}
 	defer client.Close()
-	sess, err := client.StartSession(c.Unit, func(seq uint64, body wire.Message) {
-		if _, ok := body.(LedgerEcho); ok {
+	sess, err := client.StartSession(c.Units()[0], func(seq uint64, body wire.Message) {
+		if _, ok := body.(ledger.Echo); ok {
 			mu.Lock()
 			echoes++
 			mu.Unlock()
@@ -603,24 +564,19 @@ func E8Migration() (Table, error) {
 	sent := 0
 	sendBatch := func(n int) {
 		for i := 0; i < n; i++ {
-			_ = sess.Send(LedgerUpdate{Tag: fmt.Sprintf("u%d", sent), Echo: true})
+			_ = sess.Send(ledger.Update{Tag: fmt.Sprintf("u%d", sent), Echo: true})
 			sent++
 			time.Sleep(15 * time.Millisecond)
 		}
 	}
 	lostAtPrimary := func() int {
-		p := c.PrimaryOf(sess.ID)
-		led := c.Ledger(p)
-		if led == nil {
-			return -1
-		}
-		ls := led.session(sess.ID)
-		if ls == nil {
+		tags, ok := ledgerHistory(c, c.PrimaryOf(c.Units()[0], sess.ID), sess.ID)
+		if !ok {
 			return -1
 		}
 		lost := 0
 		for i := 0; i < sent; i++ {
-			if !ls.has(fmt.Sprintf("u%d", i)) {
+			if !slices.Contains(tags, fmt.Sprintf("u%d", i)) {
 				lost++
 			}
 		}
@@ -637,9 +593,7 @@ func E8Migration() (Table, error) {
 	sendBatch(10)
 	snap("stable")
 
-	victim := c.PrimaryOf(sess.ID)
-	c.Crash(victim)
-	if _, err := c.WaitPrimaryChange(sess.ID, victim, 10*time.Second); err != nil {
+	if err := crashPrimary(c, sess.ID); err != nil {
 		return t, err
 	}
 	sendBatch(10)
@@ -678,22 +632,10 @@ func E9MPEGPolicy() (Table, error) {
 		{"MPEGPolicy", vod.MPEGPolicy},
 	}
 	for _, pol := range policies {
-		c, client, sess, player, _, err := vodCluster(0, 150*time.Millisecond, 100, pol.p)
+		st, err := vodFailover(0, 150*time.Millisecond, 100, pol.p, 400*time.Millisecond)
 		if err != nil {
 			return t, err
 		}
-		time.Sleep(400 * time.Millisecond)
-		victim := c.PrimaryOf(sess.ID)
-		c.Crash(victim)
-		if _, err := c.WaitPrimaryChange(sess.ID, victim, 10*time.Second); err != nil {
-			client.Close()
-			c.Close()
-			return t, err
-		}
-		time.Sleep(400 * time.Millisecond)
-		st := player.Stats()
-		client.Close()
-		c.Close()
 		t.AddRow(pol.name,
 			fmt.Sprintf("%d", st.DuplicateI),
 			fmt.Sprintf("%d", st.DuplicateP+st.DuplicateB),
@@ -713,21 +655,10 @@ func E11VoDInstance() (Table, error) {
 		Claim:   "\"such updates are sent every half a second. Thus, upon migration, a new primary may send half a second of duplicate video frames\" (§3.1)",
 		Columns: []string{"metric", "value", "paper bound"},
 	}
-	c, client, sess, player, _, err := vodCluster(0, 500*time.Millisecond, 24, vod.ResendUncertain)
+	st, err := vodFailover(0, 500*time.Millisecond, 24, vod.ResendUncertain, 1200*time.Millisecond)
 	if err != nil {
 		return t, err
 	}
-	defer c.Close()
-	defer client.Close()
-
-	time.Sleep(1200 * time.Millisecond)
-	victim := c.PrimaryOf(sess.ID)
-	c.Crash(victim)
-	if _, err := c.WaitPrimaryChange(sess.ID, victim, 10*time.Second); err != nil {
-		return t, err
-	}
-	time.Sleep(1200 * time.Millisecond)
-	st := player.Stats()
 
 	t.AddRow("duplicate frames after failover", fmt.Sprintf("%d", st.Duplicates), "≤ 12 (= 24fps × 0.5s)")
 	t.AddRow("missing frames", fmt.Sprintf("%d", st.MissingTotal), "0 (ResendUncertain)")

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"time"
 
+	"hafw/internal/cluster"
 	"hafw/internal/ids"
+	"hafw/internal/services/ledger"
 	"hafw/internal/store"
 )
 
@@ -74,13 +76,8 @@ func RunRestartRejoin(sessions, updates int) (warm, cold RejoinResult, err error
 		return
 	}
 	defer os.RemoveAll(dataDir)
-	// Interval fsync keeps disk syncs off the event loop: at the harness's
-	// compressed failure-detector timescales, per-append fsyncs can stall
-	// heartbeats long enough to cause false suspicions and view churn.
-	// Graceful StopServer still flushes everything via Close.
-	c, err := NewCluster(ClusterConfig{
-		Servers: 3, Backups: 1, Propagation: 25 * time.Millisecond,
-		DataDir: dataDir, Fsync: store.FsyncInterval,
+	c, err := cluster.New(cluster.Memnet, cluster.Config{
+		Backups: 1, Propagation: 25 * time.Millisecond, Service: ledgerService, DataDir: dataDir,
 	})
 	if err != nil {
 		return
@@ -96,13 +93,13 @@ func RunRestartRejoin(sessions, updates int) (warm, cold RejoinResult, err error
 	// re-fetching, not just record framing overhead.
 	pad := strings.Repeat("x", 128)
 	for i := 0; i < sessions; i++ {
-		s, serr := client.StartSession(c.Unit, nil)
+		s, serr := client.StartSession(c.Units()[0], nil)
 		if serr != nil {
 			err = fmt.Errorf("start session %d: %w", i, serr)
 			return
 		}
 		for j := 0; j < updates; j++ {
-			if serr := s.Send(LedgerUpdate{Tag: fmt.Sprintf("s%d-u%d-%s", i, j, pad)}); serr != nil {
+			if serr := s.Send(ledger.Update{Tag: fmt.Sprintf("s%d-u%d-%s", i, j, pad)}); serr != nil {
 				err = serr
 				return
 			}
@@ -115,13 +112,13 @@ func RunRestartRejoin(sessions, updates int) (warm, cold RejoinResult, err error
 	// savings being measured exist only once the propagated contexts are in
 	// every database (and so in the victim's WAL).
 	settle := 4 * 25 * time.Millisecond
-	if err = c.WaitSettled(sessions, settle, 30*time.Second); err != nil {
+	if err = waitSettled(c, sessions, settle, 30*time.Second); err != nil {
 		return
 	}
 
 	const victim = ids.ProcessID(3)
 	cycle := func(wipe bool) (RejoinResult, error) {
-		c.StopServer(victim)
+		c.Stop(victim)
 		if err := c.WaitFormed(20 * time.Second); err != nil {
 			return RejoinResult{}, fmt.Errorf("survivors did not settle: %w", err)
 		}
@@ -130,11 +127,11 @@ func RunRestartRejoin(sessions, updates int) (warm, cold RejoinResult, err error
 				return RejoinResult{}, err
 			}
 		}
-		if err := c.RestartServer(victim); err != nil {
+		if err := c.Restart(victim); err != nil {
 			return RejoinResult{}, err
 		}
 		// Settle again: this cycle's end state is the next cycle's baseline.
-		if err := c.WaitSettled(sessions, settle, 30*time.Second); err != nil {
+		if err := waitSettled(c, sessions, settle, 30*time.Second); err != nil {
 			return RejoinResult{}, fmt.Errorf("rejoin did not reconverge: %w", err)
 		}
 		reg := c.Metrics(victim)

@@ -57,9 +57,7 @@ func Experiments() []Runner {
 			}
 			return mergeTables(model, liveT), nil
 		}},
-		{ID: "E5", Name: "takeover latency by reconfiguration kind (live)", Run: func(quick bool) (Table, error) {
-			return E5Takeover()
-		}},
+		{ID: "E5", Name: "takeover latency by reconfiguration kind (live)", Run: fixed(E5Takeover)},
 		{ID: "E6", Name: "load vs. T and B (model + live)", Run: func(quick bool) (Table, error) {
 			sessions := 16
 			if quick {
@@ -72,15 +70,9 @@ func Experiments() []Runner {
 			}
 			return mergeTables(model, liveT), nil
 		}},
-		{ID: "E7", Name: "dual primary needs non-transitivity (live)", Run: func(quick bool) (Table, error) {
-			return E7DualPrimary()
-		}},
-		{ID: "E8", Name: "migration transparency (live)", Run: func(quick bool) (Table, error) {
-			return E8Migration()
-		}},
-		{ID: "E9", Name: "MPEG takeover policies (live)", Run: func(quick bool) (Table, error) {
-			return E9MPEGPolicy()
-		}},
+		{ID: "E7", Name: "dual primary needs non-transitivity (live)", Run: fixed(E7DualPrimary)},
+		{ID: "E8", Name: "migration transparency (live)", Run: fixed(E8Migration)},
+		{ID: "E9", Name: "MPEG takeover policies (live)", Run: fixed(E9MPEGPolicy)},
 		{ID: "E10", Name: "replicated state machine extension (live)", Run: func(quick bool) (Table, error) {
 			ops := 20
 			if quick {
@@ -88,9 +80,7 @@ func Experiments() []Runner {
 			}
 			return E10RSM(ops)
 		}},
-		{ID: "E11", Name: "the [2] VoD instance (live)", Run: func(quick bool) (Table, error) {
-			return E11VoDInstance()
-		}},
+		{ID: "E11", Name: "the [2] VoD instance (live)", Run: fixed(E11VoDInstance)},
 		{ID: "E12", Name: "auto-configuring B (model)", Run: func(quick bool) (Table, error) {
 			trials := 2000000
 			if quick {
@@ -107,6 +97,11 @@ func Experiments() []Runner {
 		{ID: "E17", Name: "streaming through primary failover vs. B and T (live, tcpnet)", Run: E17Streaming},
 		{ID: "E18", Name: "seeded churn sweep under the deterministic simulator (virtual clock)", Run: E18ChurnSweep},
 	}
+}
+
+// fixed adapts an experiment with no quick mode.
+func fixed(run func() (Table, error)) func(bool) (Table, error) {
+	return func(bool) (Table, error) { return run() }
 }
 
 // ByID returns the runner with the given ID.

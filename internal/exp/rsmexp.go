@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"hafw/internal/cluster"
 	"hafw/internal/gcs"
 	"hafw/internal/ids"
 	"hafw/internal/rsm"
@@ -104,6 +105,7 @@ func E10RSM(opsPerNode int) (Table, error) {
 	}
 	nodes := map[ids.ProcessID]*node{}
 	pids := []ids.ProcessID{1, 2, 3}
+	timers := cluster.Memnet.Timers()
 	add := func(pid ids.ProcessID, boot bool) error {
 		ep, err := net.Attach(ids.ProcessEndpoint(pid))
 		if err != nil {
@@ -113,8 +115,8 @@ func E10RSM(opsPerNode int) (Table, error) {
 		proc, err := gcs.NewProcess(gcs.Config{
 			Self: pid, Transport: ep, World: pids,
 			OnEvent:    func(e gcs.Event) { nd.rep.HandleEvent(e) },
-			FDInterval: fdInterval, FDTimeout: fdTimeout,
-			RoundTimeout: roundTimeout, AckInterval: ackInterval,
+			FDInterval: timers.FDInterval, FDTimeout: timers.FDTimeout,
+			RoundTimeout: timers.RoundTimeout, AckInterval: timers.AckInterval,
 		})
 		if err != nil {
 			return err

@@ -20,7 +20,7 @@ import (
 // StreamSchema identifies the BENCH_stream.json format version.
 const StreamSchema = "hafw/stream/v1"
 
-// StreamService returns a MemnetConfig.Service factory that serves the
+// StreamService returns a cluster.Config.Service factory that serves the
 // given media spec on every unit, titled by the unit name. Synthesis is
 // deterministic from the title, so every server generates byte-identical
 // content for the same unit — the replication invariant streaming needs.

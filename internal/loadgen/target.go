@@ -7,10 +7,6 @@ import (
 
 	"hafw/internal/core"
 	"hafw/internal/ids"
-	"hafw/internal/metrics"
-	"hafw/internal/obs"
-	"hafw/internal/testutil"
-	"hafw/internal/transport/memnet"
 	"hafw/internal/transport/tcpnet"
 	"hafw/internal/wire"
 )
@@ -42,266 +38,6 @@ type Target interface {
 	Info() TargetInfo
 	// Close tears down whatever the target owns.
 	Close()
-}
-
-// MemnetConfig parameterizes an in-process cluster target.
-type MemnetConfig struct {
-	// Servers is the cluster size. Zero means 3.
-	Servers int
-	// Backups is the per-session backup count (the paper's B).
-	Backups int
-	// Propagation is the context propagation period (the paper's T).
-	// Zero means 50ms.
-	Propagation time.Duration
-	// Units is how many content units the cluster serves (each replicated
-	// on every server, so R = Servers). Zero means 4.
-	Units int
-	// Obs enables the full observability path on every server: a span
-	// tracer, per-message-type transport counters, and an ops HTTP server
-	// on a loopback port (see OpsAddrs). Off by default so capacity runs
-	// measure the bare protocol; E16 uses on/off pairs to price it.
-	Obs bool
-	// Service builds the service instance each server runs for a unit.
-	// Every server must produce equivalent state machines for the same
-	// unit (the replicas apply the same total order). Nil means the echo
-	// measurement service; the streaming workload installs vod chunk
-	// streams keyed by title.
-	Service func(unit ids.UnitName) core.Service
-	// Net tunes the in-memory network (latency, jitter, loss).
-	Net memnet.Config
-}
-
-// MemnetTarget is a live in-process cluster serving the echo service on
-// every unit, with protocol timers on the compressed experiment timescale.
-type MemnetTarget struct {
-	cfg   MemnetConfig
-	net   *memnet.Network
-	units []ids.UnitName
-
-	mu      sync.Mutex
-	servers map[ids.ProcessID]*core.Server
-	pids    []ids.ProcessID
-	nextCID ids.ClientID
-
-	regs     map[ids.ProcessID]*metrics.Registry
-	tracers  map[ids.ProcessID]*obs.Tracer
-	opsAddrs map[ids.ProcessID]string
-	opsClose []func() error
-}
-
-// NewMemnetTarget brings up the cluster and waits for group formation.
-func NewMemnetTarget(cfg MemnetConfig) (*MemnetTarget, error) {
-	if cfg.Servers == 0 {
-		cfg.Servers = 3
-	}
-	if cfg.Propagation == 0 {
-		cfg.Propagation = 50 * time.Millisecond
-	}
-	if cfg.Units == 0 {
-		cfg.Units = 4
-	}
-	if cfg.Service == nil {
-		cfg.Service = func(ids.UnitName) core.Service { return NewEchoService() }
-	}
-	t := &MemnetTarget{
-		cfg:      cfg,
-		net:      memnet.New(cfg.Net),
-		servers:  make(map[ids.ProcessID]*core.Server),
-		nextCID:  5000,
-		regs:     make(map[ids.ProcessID]*metrics.Registry),
-		tracers:  make(map[ids.ProcessID]*obs.Tracer),
-		opsAddrs: make(map[ids.ProcessID]string),
-	}
-	for i := 0; i < cfg.Units; i++ {
-		t.units = append(t.units, ids.UnitName(fmt.Sprintf("load-%d", i)))
-	}
-	for i := 1; i <= cfg.Servers; i++ {
-		t.pids = append(t.pids, ids.ProcessID(i))
-	}
-	scale := time.Duration(testutil.TimeScale)
-	for _, pid := range t.pids {
-		ep, err := t.net.Attach(ids.ProcessEndpoint(pid))
-		if err != nil {
-			t.Close()
-			return nil, err
-		}
-		units := make([]core.UnitConfig, 0, len(t.units))
-		for _, u := range t.units {
-			units = append(units, core.UnitConfig{
-				Unit:              u,
-				Service:           cfg.Service(u),
-				Backups:           cfg.Backups,
-				PropagationPeriod: cfg.Propagation,
-				IdleTimeout:       30 * time.Second,
-			})
-		}
-		reg := metrics.NewRegistry()
-		t.regs[pid] = reg
-		var tracer *obs.Tracer
-		if cfg.Obs {
-			tracer = obs.NewTracer(pid, obs.DefaultSpanCapacity)
-			t.tracers[pid] = tracer
-			ep.SetMetrics(reg)
-		}
-		srv, err := core.NewServer(core.Config{
-			Self:         pid,
-			Transport:    ep,
-			World:        t.pids,
-			Units:        units,
-			Metrics:      reg,
-			Obs:          tracer,
-			FDInterval:   10 * time.Millisecond * scale,
-			FDTimeout:    60 * time.Millisecond * scale,
-			RoundTimeout: 100 * time.Millisecond * scale,
-			AckInterval:  15 * time.Millisecond * scale,
-		})
-		if err != nil {
-			t.Close()
-			return nil, err
-		}
-		if err := srv.Start(); err != nil {
-			t.Close()
-			return nil, err
-		}
-		t.servers[pid] = srv
-		if cfg.Obs {
-			addr, closeFn, err := obs.Serve("127.0.0.1:0", obs.ServerConfig{
-				Registry: reg,
-				Tracer:   tracer,
-				Status:   srv.Status,
-				Health:   srv.Health,
-			})
-			if err != nil {
-				t.Close()
-				return nil, err
-			}
-			t.opsAddrs[pid] = addr
-			t.opsClose = append(t.opsClose, closeFn)
-		}
-	}
-	if err := t.waitFormed(30 * time.Second); err != nil {
-		t.Close()
-		return nil, err
-	}
-	return t, nil
-}
-
-func (t *MemnetTarget) waitFormed(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		formed := true
-		for _, pid := range t.pids {
-			for _, u := range t.units {
-				if len(t.servers[pid].GroupMembers(core.ContentGroup(u))) != len(t.pids) {
-					formed = false
-				}
-			}
-		}
-		if formed {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("loadgen: cluster did not form within %v", timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// NewClient implements Target.
-func (t *MemnetTarget) NewClient(onFrom func(from ids.EndpointID)) (*core.Client, error) {
-	t.mu.Lock()
-	t.nextCID++
-	cid := t.nextCID
-	t.mu.Unlock()
-	ep, err := t.net.Attach(ids.ClientEndpoint(cid))
-	if err != nil {
-		return nil, err
-	}
-	var hook func(ids.EndpointID, ids.SessionID, uint64, wire.Message)
-	if onFrom != nil {
-		hook = func(from ids.EndpointID, _ ids.SessionID, _ uint64, _ wire.Message) { onFrom(from) }
-	}
-	return core.NewClient(core.ClientConfig{
-		Self:           cid,
-		Transport:      ep,
-		Servers:        append([]ids.ProcessID(nil), t.pids...),
-		RequestTimeout: 400 * time.Millisecond * time.Duration(testutil.TimeScale),
-		Retries:        6,
-		OnResponseFrom: hook,
-	})
-}
-
-// Units implements Target.
-func (t *MemnetTarget) Units() []ids.UnitName { return append([]ids.UnitName(nil), t.units...) }
-
-// Info implements Target.
-func (t *MemnetTarget) Info() TargetInfo {
-	return TargetInfo{
-		Mode:          "memnet",
-		Servers:       t.cfg.Servers,
-		Replication:   t.cfg.Servers,
-		Backups:       t.cfg.Backups,
-		PropagationMS: t.cfg.Propagation.Milliseconds(),
-	}
-}
-
-// Crash kills one server mid-run (fault injection for saturation and
-// failover experiments).
-func (t *MemnetTarget) Crash(pid ids.ProcessID) {
-	t.net.Crash(ids.ProcessEndpoint(pid))
-}
-
-// Servers lists the cluster's process IDs.
-func (t *MemnetTarget) Servers() []ids.ProcessID { return append([]ids.ProcessID(nil), t.pids...) }
-
-// Registries exposes each server's metric registry (staleness and latency
-// telemetry for the observability experiments).
-func (t *MemnetTarget) Registries() map[ids.ProcessID]*metrics.Registry {
-	out := make(map[ids.ProcessID]*metrics.Registry, len(t.regs))
-	for pid, reg := range t.regs {
-		out[pid] = reg
-	}
-	return out
-}
-
-// OpsAddrs lists each server's ops HTTP address (only populated when the
-// target was built with Obs enabled).
-func (t *MemnetTarget) OpsAddrs() map[ids.ProcessID]string {
-	out := make(map[ids.ProcessID]string, len(t.opsAddrs))
-	for pid, addr := range t.opsAddrs {
-		out[pid] = addr
-	}
-	return out
-}
-
-// SessionSkew counts live sessions per primary across all units, as seen
-// by the first live server's unit databases: the placement-side complement
-// of the recorder's response-side skew.
-func (t *MemnetTarget) SessionSkew() map[ids.ProcessID]int {
-	out := make(map[ids.ProcessID]int)
-	for _, pid := range t.pids {
-		if t.net.Crashed(ids.ProcessEndpoint(pid)) {
-			continue
-		}
-		for _, u := range t.units {
-			for _, s := range t.servers[pid].DBSnapshot(u).Sessions {
-				out[s.Primary]++
-			}
-		}
-		break
-	}
-	return out
-}
-
-// Close implements Target.
-func (t *MemnetTarget) Close() {
-	for _, fn := range t.opsClose {
-		_ = fn()
-	}
-	for _, s := range t.servers {
-		s.Stop()
-	}
-	t.net.Close()
 }
 
 // TCPConfig parameterizes a target of real hanode processes.

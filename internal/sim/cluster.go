@@ -9,6 +9,7 @@ import (
 
 	"hafw/internal/core"
 	"hafw/internal/ids"
+	"hafw/internal/services/ledger"
 	"hafw/internal/store"
 	"hafw/internal/transport/memnet"
 )
@@ -128,7 +129,7 @@ type node struct {
 
 // Cluster wires Nodes framework servers, Clients workload drivers, the
 // chaos applier, and the invariant sampler onto one Scheduler. It is the
-// virtual-time sibling of exp.Cluster: same server bring-up, same WAL
+// virtual-time sibling of cluster.Cluster: same server bring-up, same WAL
 // warm-restart path, but every timeout, latency, and pause elapses on the
 // simulated clock.
 type Cluster struct {
@@ -487,7 +488,7 @@ func (c *Cluster) startServer(n *node) error {
 		World:     c.world,
 		Units: []core.UnitConfig{{
 			Unit:              simUnit,
-			Service:           ledgerService{},
+			Service:           ledger.New(),
 			Backups:           c.cfg.Backups,
 			PropagationPeriod: c.cfg.Propagation,
 		}},

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,138 +9,16 @@ import (
 
 	"hafw/internal/core"
 	"hafw/internal/ids"
+	"hafw/internal/services/ledger"
 	"hafw/internal/wire"
 )
 
-// The simulator's workload service is a tagged ledger, the same shape the
-// experiment harness uses: every update carries a unique tag, the session
-// context is the tag history, and an acked (echoed) tag must survive any
-// failure the run is configured to tolerate. The audit at the end of a
-// run compares each client's acked set against what the healed service
-// still holds — the "no lost acked request" invariant made executable.
-
-// LedgerUpdate appends a tag to the session's history; the primary echoes
-// it back when Echo is set.
-type LedgerUpdate struct {
-	Tag  string
-	Echo bool
-}
-
-// WireName implements wire.Message.
-func (LedgerUpdate) WireName() string { return "sim.LedgerUpdate" }
-
-// LedgerEcho is the primary's ack for one tag.
-type LedgerEcho struct {
-	Tag string
-}
-
-// WireName implements wire.Message.
-func (LedgerEcho) WireName() string { return "sim.LedgerEcho" }
-
-// LedgerDump asks the primary for the full tag history.
-type LedgerDump struct{}
-
-// WireName implements wire.Message.
-func (LedgerDump) WireName() string { return "sim.LedgerDump" }
-
-// LedgerTags is the primary's reply to a dump.
-type LedgerTags struct {
-	Tags []string
-}
-
-// WireName implements wire.Message.
-func (LedgerTags) WireName() string { return "sim.LedgerTags" }
-
-func init() {
-	wire.Register(LedgerUpdate{})
-	wire.Register(LedgerEcho{})
-	wire.Register(LedgerDump{})
-	wire.Register(LedgerTags{})
-}
-
-// ledgerService implements core.Service.
-type ledgerService struct{}
-
-// NewSession implements core.Service.
-func (ledgerService) NewSession(unit ids.UnitName, sid ids.SessionID, client ids.ClientID) core.Session {
-	return &ledgerSession{}
-}
-
-// ledgerSession implements core.Session: context = ordered tag history.
-type ledgerSession struct {
-	mu     sync.Mutex
-	tags   []string
-	active bool
-	r      core.Responder
-}
-
-// ApplyUpdate implements core.Session.
-func (s *ledgerSession) ApplyUpdate(body wire.Message) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch m := body.(type) {
-	case LedgerUpdate:
-		s.tags = append(s.tags, m.Tag)
-		if m.Echo && s.active && s.r != nil {
-			s.r.Send(LedgerEcho{Tag: m.Tag})
-		}
-	case LedgerDump:
-		if s.active && s.r != nil {
-			s.r.Send(LedgerTags{Tags: append([]string(nil), s.tags...)})
-		}
-	}
-}
-
-// Activate implements core.Session.
-func (s *ledgerSession) Activate(r core.Responder) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.active, s.r = true, r
-}
-
-// Deactivate implements core.Session.
-func (s *ledgerSession) Deactivate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.active, s.r = false, nil
-}
-
-// Close implements core.Session.
-func (s *ledgerSession) Close() { s.Deactivate() }
-
-// Snapshot implements core.Session.
-func (s *ledgerSession) Snapshot() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(s.tags)
-	return buf.Bytes()
-}
-
-// Restore implements core.Session.
-func (s *ledgerSession) Restore(ctx []byte) {
-	var tags []string
-	if len(ctx) > 0 {
-		_ = gob.NewDecoder(bytes.NewReader(ctx)).Decode(&tags)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tags = tags
-}
-
-// Sync implements core.Session: propagated context only ever extends the
-// history, so the longer list wins.
-func (s *ledgerSession) Sync(ctx []byte) {
-	var tags []string
-	if len(ctx) > 0 {
-		_ = gob.NewDecoder(bytes.NewReader(ctx)).Decode(&tags)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(tags) > len(s.tags) {
-		s.tags = tags
-	}
-}
+// The simulator's workload service is the tagged ledger (package
+// ledger): every update carries a unique tag, the session context is the
+// tag history, and an acked (echoed) tag must survive any failure the run
+// is configured to tolerate. The audit at the end of a run compares each
+// client's acked set against what the healed service still holds — the
+// "no lost acked request" invariant made executable.
 
 // simClient is one workload driver: a framework client, its session, and
 // the acked-tag ledger the audit compares against the service.
@@ -220,12 +96,12 @@ func (c *Cluster) clientLoop(cl *simClient) {
 	}
 	sess, err := cl.c.StartSession(simUnit, func(seq uint64, body wire.Message) {
 		switch m := body.(type) {
-		case LedgerEcho:
+		case ledger.Echo:
 			select {
 			case echoes <- m.Tag:
 			default:
 			}
-		case LedgerTags:
+		case ledger.Tags:
 			select {
 			case dumps <- m.Tags:
 			default:
@@ -249,7 +125,7 @@ func (c *Cluster) clientLoop(cl *simClient) {
 		cl.sent++
 		tag := fmt.Sprintf("c%d-%d", cl.id, cl.sent)
 		cl.mu.Unlock()
-		if err := sess.Send(LedgerUpdate{Tag: tag, Echo: true}); err != nil {
+		if err := sess.Send(ledger.Update{Tag: tag, Echo: true}); err != nil {
 			// Primary unreachable: back off and retry with a fresh tag.
 			if !c.pause(simCallTimeout) {
 				break
@@ -285,7 +161,7 @@ func (c *Cluster) clientLoop(cl *simClient) {
 	// so a dump must eventually succeed. Late echoes for earlier tags
 	// still count — an ack is an ack whenever it arrives.
 	for attempt := 0; attempt < 8; attempt++ {
-		if err := sess.Send(LedgerDump{}); err == nil {
+		if err := sess.Send(ledger.Dump{}); err == nil {
 			t := c.base.NewTimer(simCallTimeout)
 			select {
 			case tags := <-dumps:
