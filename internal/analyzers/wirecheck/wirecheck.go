@@ -1,9 +1,9 @@
 // Package wirecheck implements the halint pass that guards the wire
 // protocol. Every concrete type that travels through the transports (it
 // implements wire.Message by declaring a WireName method) must be
-// registered with wire.Register so gob can decode it, must expose only
-// exported fields (gob silently drops unexported ones — state that
-// "arrives" empty after a failover is the worst kind of bug), and must
+// registered with wire.Register so the codec can decode it, must expose
+// only exported fields (the codec silently drops unexported ones — state
+// that "arrives" empty after a failover is the worst kind of bug), and must
 // evolve append-only against the checked-in golden schema
 // (internal/wire/schema.golden), because mixed-version process groups
 // exchange these messages during rolling restarts.
@@ -135,7 +135,7 @@ func PackageEntries(pass *analysis.Pass) []SchemaEntry {
 						f := st.Field(i)
 						if !f.Exported() {
 							pass.Reportf(f.Pos(),
-								"wire message %s has unexported field %s; gob drops it silently, so replicas would diverge after transfer",
+								"wire message %s has unexported field %s; the wire codec drops it silently, so replicas would diverge after transfer",
 								obj.Name(), f.Name())
 							continue
 						}

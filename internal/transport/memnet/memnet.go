@@ -435,12 +435,10 @@ func (e *Endpoint) SetHandler(h transport.Handler) {
 // Send implements transport.Transport. The payload is round-tripped
 // through the wire codec, so the receiver can never alias the sender's
 // memory and unencodable payloads fail loudly here rather than silently
-// differing between memnet and tcpnet. The round trip rides the codec's
-// pooled persistent gob pipes, which amortize per-type descriptor
-// compilation across messages; only the decoded clone plus the encoded
-// size travel through the network. Messages whose encoded size exceeds
-// Config.MaxFrame fail with an error wrapping wire.ErrFrameTooLarge,
-// matching tcpnet (up to the pipe's amortized descriptor bytes).
+// differing between memnet and tcpnet. Only the decoded clone plus the
+// encoded size travel through the network. Messages whose encoded size
+// exceeds Config.MaxFrame fail with an error wrapping wire.ErrFrameTooLarge,
+// exactly as tcpnet's frames do.
 func (e *Endpoint) Send(to ids.EndpointID, m wire.Message) error {
 	e.mu.Lock()
 	closed := e.closed

@@ -2,12 +2,12 @@
 // sockets, so that the stack the experiments exercise on memnet also runs
 // between OS processes (cmd/hanode, cmd/haclient).
 //
-// Framing is length-prefixed gob (package wire). Each endpoint keeps at
-// most one cached outbound connection per peer, dialed lazily and dropped
-// on any error — the transport contract is best-effort, so a failed write
-// simply loses that message and the next Send redials. Inbound connections
-// are accepted continuously and read until error; the envelope carries the
-// source, so no handshake is needed.
+// Framing is the wire codec behind a 4-byte length prefix (package wire).
+// Each endpoint keeps at most one cached outbound connection per peer,
+// dialed lazily and dropped on any error — the transport contract is
+// best-effort, so a failed write simply loses that message and the next
+// Send redials. Inbound connections are accepted continuously and read
+// until error; the envelope carries the source, so no handshake is needed.
 //
 // Writes go through a per-connection writer goroutine with two queues:
 // control (small frames — heartbeats, view changes, acks) and bulk (chunk
@@ -15,11 +15,14 @@
 // jump ahead of queued bulk, so a multi-MB chunk burst cannot starve
 // failure detection; bulk enqueueing blocks once SendWindow bytes are
 // queued, pushing backpressure into the producer instead of ballooning
-// memory. Frames are encoded into pooled buffers that return to the pool
-// after the write, so the chunk path does not allocate per message.
+// memory. Frames are encoded, length prefix included, into pooled buffers
+// that return to the pool after the write, so each frame is one Write and
+// the chunk path does not allocate per message; readers decode frames out
+// of one reused buffer behind a bufio.Reader.
 package tcpnet
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -180,16 +183,11 @@ func (t *Transport) SetHandler(h transport.Handler) {
 // drop the cached connection. Bulk frames may block here until the
 // connection's send window has room.
 func (t *Transport) Send(to ids.EndpointID, m wire.Message) error {
-	buf, err := wire.EncodeBuffer(wire.Envelope{From: t.cfg.Self, To: to, Payload: m})
+	buf, err := wire.EncodeFrame(wire.Envelope{From: t.cfg.Self, To: to, Payload: m}, t.cfg.MaxFrame)
 	if err != nil {
-		return err
+		return fmt.Errorf("tcpnet: %w", err)
 	}
-	if buf.Len() > t.cfg.MaxFrame {
-		wire.PutBuffer(buf)
-		return fmt.Errorf("tcpnet: encoded %s of %d bytes exceeds max frame %d: %w",
-			m.WireName(), buf.Len(), t.cfg.MaxFrame, wire.ErrFrameTooLarge)
-	}
-	t.count("send", m.WireName(), buf.Len())
+	t.count("send", m.WireName(), buf.Len()-wire.FrameHeader)
 
 	t.mu.Lock()
 	if t.closed {
@@ -208,7 +206,7 @@ func (t *Transport) Send(to ids.EndpointID, m wire.Message) error {
 			return fmt.Errorf("tcpnet: no address for peer %s", to)
 		}
 		// Answer over the connection the peer opened to us.
-		reply.enqueue(buf, buf.Len() >= t.cfg.BulkThreshold)
+		reply.enqueue(buf, t.isBulk(buf))
 		return nil
 	}
 	if pc == nil {
@@ -239,8 +237,13 @@ func (t *Transport) Send(to ids.EndpointID, m wire.Message) error {
 		t.mu.Unlock()
 	}
 
-	pc.enqueue(buf, buf.Len() >= t.cfg.BulkThreshold)
+	pc.enqueue(buf, t.isBulk(buf))
 	return nil
+}
+
+// isBulk classifies an encoded frame by its payload size.
+func (t *Transport) isBulk(frame *bytes.Buffer) bool {
+	return frame.Len()-wire.FrameHeader >= t.cfg.BulkThreshold
 }
 
 // count records one envelope in the per-message-type transport counters.
@@ -330,12 +333,18 @@ func (t *Transport) newPeerConn(conn net.Conn) *peerConn {
 	return pc
 }
 
+// maxReadBuffer bounds the frame buffer a reader keeps between frames;
+// a rare larger frame is read into a buffer of its own.
+const maxReadBuffer = 1 << 20
+
 func (t *Transport) readLoop(pc *peerConn) {
 	defer t.wg.Done()
 	defer func() {
 		t.forget(pc)
 		pc.close()
 	}()
+	r := bufio.NewReaderSize(pc.conn, 32<<10)
+	var buf []byte
 	for {
 		t.mu.Lock()
 		closed := t.closed
@@ -343,7 +352,7 @@ func (t *Transport) readLoop(pc *peerConn) {
 		if closed {
 			return
 		}
-		data, err := wire.ReadFrameLimit(pc.conn, t.cfg.MaxFrame)
+		data, err := wire.ReadFrameInto(r, buf, t.cfg.MaxFrame)
 		if err != nil {
 			if errors.Is(err, wire.ErrFrameTooLarge) && t.oversize != nil {
 				// Corrupt or hostile length prefix: the stream cannot be
@@ -352,6 +361,9 @@ func (t *Transport) readLoop(pc *peerConn) {
 				t.oversize.Inc()
 			}
 			return
+		}
+		if cap(data) <= maxReadBuffer {
+			buf = data
 		}
 		env, err := wire.Decode(data)
 		if err != nil {
@@ -445,7 +457,7 @@ func (pc *peerConn) writer() {
 		pc.mu.Unlock()
 
 		_ = pc.conn.SetWriteDeadline(time.Now().Add(pc.t.cfg.WriteTimeout))
-		err := wire.WriteFrame(pc.conn, buf.Bytes())
+		_, err := pc.conn.Write(buf.Bytes())
 		wire.PutBuffer(buf)
 		if err != nil {
 			pc.t.forget(pc)

@@ -49,12 +49,36 @@ func (f *fakeSender) count(pred func(wire.Envelope) bool) int {
 type eventSink struct {
 	mu     sync.Mutex
 	events []Event
+	// counting, once set, makes the sink count messages instead of
+	// keeping them.
+	counting bool
+	counts   map[ids.GroupName]int
 }
 
 func (s *eventSink) on(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if me, ok := e.(MessageEvent); ok && s.counting {
+		s.counts[me.Group]++
+		return
+	}
 	s.events = append(s.events, e)
+}
+
+// countOnly switches the sink to counting messages, for tests that
+// deliver too many to keep.
+func (s *eventSink) countOnly() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.counting = true
+	s.counts = make(map[ids.GroupName]int)
+}
+
+// delivered is the number of messages counted for g since countOnly.
+func (s *eventSink) delivered(g ids.GroupName) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.counts[g]
 }
 
 func (s *eventSink) messages(g ids.GroupName) []MessageEvent {
