@@ -102,10 +102,22 @@ type Stable struct {
 	// MaxDSeq is the highest dseq the coordinator has sent to this
 	// destination.
 	MaxDSeq uint64
+	// Done lists the messages of this view that are stable: delivered at
+	// every destination. A member prunes its delivery dedup down to the
+	// unstable messages and keeps the union of these lists instead, until
+	// the view ends, so that a flush never delivers a late copy of a
+	// message it has already delivered.
+	Done []SeqSpan
 }
 
 // WireName implements wire.Message.
 func (Stable) WireName() string { return "vsync.Stable" }
+
+// SeqSpan is a closed range of one sender's message numbers (MsgID.Seq).
+type SeqSpan struct {
+	Sender ids.EndpointID
+	Lo, Hi uint64
+}
 
 // Nack requests retransmission of specific dseq stream entries.
 type Nack struct {
@@ -210,6 +222,9 @@ type flushState struct {
 	Pending []Data
 	// Dir is this process's group directory snapshot.
 	Dir map[ids.GroupName][]ids.ProcessID
+	// Done is the union of the Stable.Done lists received here: the
+	// messages a flush must not deliver again.
+	Done []SeqSpan
 }
 
 // WireName implements wire.Message. flushState crosses the network inside

@@ -100,56 +100,74 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{[]byte("a"), {}, []byte("third frame")}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
-	}
-	for i, want := range payloads {
-		got, err := ReadFrame(&buf)
+// frames encodes each envelope with EncodeFrame and returns the stream of
+// frames they make.
+func frames(t *testing.T, envs ...Envelope) []byte {
+	t.Helper()
+	var stream []byte
+	for _, env := range envs {
+		buf, err := EncodeFrame(env, 0)
 		if err != nil {
-			t.Fatalf("ReadFrame %d: %v", i, err)
+			t.Fatalf("EncodeFrame: %v", err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("frame %d = %q, want %q", i, got, want)
+		stream = append(stream, buf.Bytes()...)
+		PutBuffer(buf)
+	}
+	return stream
+}
+
+func textEnv(text string) Envelope {
+	return Envelope{From: ids.ProcessEndpoint(1), To: ids.ProcessEndpoint(2), Payload: testMsg{Text: text}}
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	envs := []Envelope{textEnv("a"), textEnv(""), textEnv("third frame")}
+	r := bytes.NewReader(frames(t, envs...))
+	var buf []byte
+	for i, want := range envs {
+		data, err := ReadFrameInto(r, buf, 0)
+		if err != nil {
+			t.Fatalf("ReadFrameInto %d: %v", i, err)
+		}
+		buf = data
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("Decode %d: %v", i, err)
+		}
+		if got.Payload.(testMsg).Text != want.Payload.(testMsg).Text {
+			t.Errorf("frame %d = %+v, want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
+	if _, err := ReadFrameInto(r, buf, 0); !errors.Is(err, io.EOF) {
 		t.Errorf("exhausted reader should return io.EOF, got %v", err)
 	}
 }
 
 func TestFrameTooLarge(t *testing.T) {
-	if err := WriteFrame(io.Discard, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("WriteFrame oversized: err = %v, want ErrFrameTooLarge", err)
+	if _, err := EncodeFrame(textEnv(strings.Repeat("x", 64)), 32); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("EncodeFrame oversized: err = %v, want ErrFrameTooLarge", err)
 	}
 	// A corrupt header claiming a giant frame must be rejected before
 	// allocation, with the typed error so transports can drop the
 	// connection rather than the frame.
 	hdr := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("ReadFrame oversized header: err = %v, want ErrFrameTooLarge", err)
+	if _, err := ReadFrameInto(bytes.NewReader(hdr), nil, 0); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("ReadFrameInto oversized header: err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestReadFrameLimit(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, 1024)); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	framed := buf.Bytes()
+	framed := frames(t, textEnv(strings.Repeat("x", 1024)))
+	size := len(framed) - FrameHeader
 
-	if _, err := ReadFrameLimit(bytes.NewReader(framed), 512); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrameInto(bytes.NewReader(framed), nil, 512); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("limit below frame size: err = %v, want ErrFrameTooLarge", err)
 	}
-	if got, err := ReadFrameLimit(bytes.NewReader(framed), 1024); err != nil || len(got) != 1024 {
+	if got, err := ReadFrameInto(bytes.NewReader(framed), nil, size); err != nil || len(got) != size {
 		t.Errorf("limit at frame size: got %d bytes, err %v", len(got), err)
 	}
 	// Zero means the package default.
-	if got, err := ReadFrameLimit(bytes.NewReader(framed), 0); err != nil || len(got) != 1024 {
+	if got, err := ReadFrameInto(bytes.NewReader(framed), nil, 0); err != nil || len(got) != size {
 		t.Errorf("zero limit: got %d bytes, err %v", len(got), err)
 	}
 }
@@ -196,28 +214,27 @@ func TestEncodeBufferPooled(t *testing.T) {
 }
 
 func TestFrameTruncatedBody(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("hello world")); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
-		t.Error("ReadFrame should fail on a truncated body")
+	framed := frames(t, textEnv("hello world"))
+	trunc := framed[:len(framed)-3]
+	if _, err := ReadFrameInto(bytes.NewReader(trunc), nil, 0); err == nil {
+		t.Error("ReadFrameInto should fail on a truncated body")
 	}
 }
 
 // TestFrameProperty round-trips random payloads through the framing layer.
 func TestFrameProperty(t *testing.T) {
-	f := func(p []byte) bool {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, p); err != nil {
-			return false
-		}
-		got, err := ReadFrame(&buf)
+	f := func(text string) bool {
+		buf, err := EncodeFrame(textEnv(text), 0)
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(got, p)
+		defer PutBuffer(buf)
+		data, err := ReadFrameInto(bytes.NewReader(buf.Bytes()), nil, 0)
+		if err != nil {
+			return false
+		}
+		got, err := Decode(data)
+		return err == nil && got.Payload.(testMsg).Text == text
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
