@@ -15,15 +15,18 @@
 // jump ahead of queued bulk, so a multi-MB chunk burst cannot starve
 // failure detection; bulk enqueueing blocks once SendWindow bytes are
 // queued, pushing backpressure into the producer instead of ballooning
-// memory. Frames are encoded, length prefix included, into pooled buffers
-// that return to the pool after the write, so each frame is one Write and
-// the chunk path does not allocate per message; readers decode frames out
-// of one reused buffer behind a bufio.Reader.
+// memory. Each wake-up of the writer sends one batch in one vectored
+// write (net.Buffers, writev on a socket): every queued control frame,
+// then the first queued bulk frame, so a control frame waits behind at
+// most one bulk frame. Frames come from wire.EncodeFrame's pool
+// and return to it after the write; a byte slice of wire.OutOfLine bytes
+// or more goes out from the sender's message as it lies, never copied, so
+// the chunk path neither allocates nor copies per message. Readers decode
+// frames out of one reused buffer behind a bufio.Reader.
 package tcpnet
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -50,7 +53,7 @@ type Config struct {
 	Peers map[ids.EndpointID]string
 	// DialTimeout bounds connection establishment. Zero means 2s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write. Zero means 2s.
+	// WriteTimeout bounds each batch write. Zero means 2s.
 	WriteTimeout time.Duration
 	// MaxFrame bounds accepted frame sizes on decode; a length prefix
 	// above it is treated as stream corruption and drops the connection
@@ -64,7 +67,9 @@ type Config struct {
 	// 64 KiB.
 	BulkThreshold int
 	// Metrics, when non-nil, records per-message-type send/recv counts and
-	// bytes (transport_send_total and friends).
+	// bytes (transport_send_total and friends), and the vectored writes
+	// and the frames they carried (transport_writes_total,
+	// transport_write_frames_total).
 	Metrics *metrics.Registry
 }
 
@@ -88,8 +93,8 @@ type Transport struct {
 
 	// Per-type counter families, cached so the per-message hot path pays
 	// no name formatting or registry lock. Nil when metrics are off.
-	sendCount, sendBytes, recvCount, recvBytes *metrics.CounterVec
-	oversize, backpressure                     *metrics.Counter
+	sendCount, sendBytes, recvCount, recvBytes  *metrics.CounterVec
+	oversize, backpressure, writes, writeFrames *metrics.Counter
 
 	wg sync.WaitGroup
 }
@@ -130,6 +135,8 @@ func New(cfg Config) (*Transport, error) {
 		t.recvBytes = cfg.Metrics.CounterVec(`transport_recv_bytes_total{type=%q}`)
 		t.oversize = cfg.Metrics.Counter("transport_oversize_frames_total")
 		t.backpressure = cfg.Metrics.Counter("transport_backpressure_waits_total")
+		t.writes = cfg.Metrics.Counter("transport_writes_total")
+		t.writeFrames = cfg.Metrics.Counter("transport_write_frames_total")
 	}
 	for id, addr := range cfg.Peers {
 		t.peers[id] = addr
@@ -181,18 +188,20 @@ func (t *Transport) SetHandler(h transport.Handler) {
 // Send implements transport.Transport. Errors for unknown peers are
 // reported; transmission failures to known peers are best-effort and only
 // drop the cached connection. Bulk frames may block here until the
-// connection's send window has room.
+// connection's send window has room. Byte slices of wire.OutOfLine bytes
+// or more in m are written from where m holds them, after Send returns:
+// the caller must not modify them.
 func (t *Transport) Send(to ids.EndpointID, m wire.Message) error {
-	buf, err := wire.EncodeFrame(wire.Envelope{From: t.cfg.Self, To: to, Payload: m}, t.cfg.MaxFrame)
+	f, err := wire.EncodeFrame(wire.Envelope{From: t.cfg.Self, To: to, Payload: m}, t.cfg.MaxFrame)
 	if err != nil {
 		return fmt.Errorf("tcpnet: %w", err)
 	}
-	t.count("send", m.WireName(), buf.Len()-wire.FrameHeader)
+	t.count("send", m.WireName(), f.Len()-wire.FrameHeader)
 
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		wire.PutBuffer(buf)
+		release(f)
 		return transport.ErrClosed
 	}
 	addr, known := t.peers[to]
@@ -202,24 +211,24 @@ func (t *Transport) Send(to ids.EndpointID, m wire.Message) error {
 
 	if !known {
 		if reply == nil {
-			wire.PutBuffer(buf)
+			release(f)
 			return fmt.Errorf("tcpnet: no address for peer %s", to)
 		}
 		// Answer over the connection the peer opened to us.
-		reply.enqueue(buf, t.isBulk(buf))
+		reply.enqueue(f, t.isBulk(f))
 		return nil
 	}
 	if pc == nil {
 		c, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
 		if err != nil {
-			wire.PutBuffer(buf)
+			release(f)
 			return nil // best-effort: peer unreachable is not a Send error
 		}
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
 			_ = c.Close()
-			wire.PutBuffer(buf)
+			release(f)
 			return transport.ErrClosed
 		}
 		if existing, ok := t.conns[to]; ok {
@@ -237,12 +246,17 @@ func (t *Transport) Send(to ids.EndpointID, m wire.Message) error {
 		t.mu.Unlock()
 	}
 
-	pc.enqueue(buf, t.isBulk(buf))
+	pc.enqueue(f, t.isBulk(f))
 	return nil
 }
 
+// release returns a frame to the wire pool. Every frame Send encodes is
+// released exactly once: by Send when it is not queued, by the writer
+// after its batch is written, or by the drain of a dead connection.
+var release = (*wire.Frame).Release
+
 // isBulk classifies an encoded frame by its payload size.
-func (t *Transport) isBulk(frame *bytes.Buffer) bool {
+func (t *Transport) isBulk(frame *wire.Frame) bool {
 	return frame.Len()-wire.FrameHeader >= t.cfg.BulkThreshold
 }
 
@@ -384,8 +398,7 @@ func (t *Transport) readLoop(pc *peerConn) {
 }
 
 // peerConn owns one TCP connection: a control queue, a bulk queue bounded
-// by the send window, and the writer goroutine draining them in priority
-// order.
+// by the send window, and the writer goroutine draining them in batches.
 type peerConn struct {
 	t    *Transport
 	conn net.Conn
@@ -393,20 +406,20 @@ type peerConn struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// control and bulk queue encoded frames awaiting the writer; entries
-	// are pooled buffers owned by the queue until written.
-	control, bulk []*bytes.Buffer
+	// are pooled frames owned by the queue until written.
+	control, bulk []*wire.Frame
 	// bulkBytes is the queued bulk payload, bounded by SendWindow.
 	bulkBytes int
 	closed    bool
 }
 
 // enqueue hands an encoded frame to the writer, blocking while the bulk
-// window is full. The buffer's ownership passes to the queue.
-func (pc *peerConn) enqueue(buf *bytes.Buffer, isBulk bool) {
+// window is full. The frame's ownership passes to the queue.
+func (pc *peerConn) enqueue(f *wire.Frame, isBulk bool) {
 	pc.mu.Lock()
 	if isBulk {
 		waited := false
-		for !pc.closed && pc.bulkBytes+buf.Len() > pc.t.cfg.SendWindow && pc.bulkBytes > 0 {
+		for !pc.closed && pc.bulkBytes+f.Len() > pc.t.cfg.SendWindow && pc.bulkBytes > 0 {
 			if !waited {
 				waited = true
 				if pc.t.backpressure != nil {
@@ -418,22 +431,26 @@ func (pc *peerConn) enqueue(buf *bytes.Buffer, isBulk bool) {
 	}
 	if pc.closed {
 		pc.mu.Unlock()
-		wire.PutBuffer(buf)
+		release(f)
 		return // best-effort: frame lost with the connection
 	}
 	if isBulk {
-		pc.bulk = append(pc.bulk, buf)
-		pc.bulkBytes += buf.Len()
+		pc.bulk = append(pc.bulk, f)
+		pc.bulkBytes += f.Len()
 	} else {
-		pc.control = append(pc.control, buf)
+		pc.control = append(pc.control, f)
 	}
 	pc.cond.Broadcast()
 	pc.mu.Unlock()
 }
 
-// writer drains the queues, control first, until the connection closes.
+// writer sends the queues batch by batch until the connection closes.
 func (pc *peerConn) writer() {
 	defer pc.t.wg.Done()
+	var batch []*wire.Frame
+	// vecs keeps its storage between batches; pending is the part WriteTo
+	// has yet to write, which it advances.
+	var vecs, pending net.Buffers
 	for {
 		pc.mu.Lock()
 		for !pc.closed && len(pc.control) == 0 && len(pc.bulk) == 0 {
@@ -444,21 +461,27 @@ func (pc *peerConn) writer() {
 			pc.mu.Unlock()
 			return
 		}
-		var buf *bytes.Buffer
-		if len(pc.control) > 0 {
-			buf = pc.control[0]
-			pc.control = pc.control[1:]
-		} else {
-			buf = pc.bulk[0]
-			pc.bulk = pc.bulk[1:]
-			pc.bulkBytes -= buf.Len()
-		}
+		batch = pc.takeLocked(batch)
 		pc.cond.Broadcast() // window space freed; wake blocked producers
 		pc.mu.Unlock()
 
+		vecs = vecs[:0]
+		for _, f := range batch {
+			vecs = f.AppendTo(vecs)
+		}
+		pending = vecs
 		_ = pc.conn.SetWriteDeadline(time.Now().Add(pc.t.cfg.WriteTimeout))
-		_, err := pc.conn.Write(buf.Bytes())
-		wire.PutBuffer(buf)
+		_, err := pending.WriteTo(pc.conn)
+		if pc.t.writes != nil {
+			pc.t.writes.Inc()
+			pc.t.writeFrames.Add(uint64(len(batch)))
+		}
+		clear(vecs) // hold no references to the frames' bytes
+		for i, f := range batch {
+			release(f)
+			batch[i] = nil
+		}
+		batch = batch[:0]
 		if err != nil {
 			pc.t.forget(pc)
 			pc.close()
@@ -470,13 +493,33 @@ func (pc *peerConn) writer() {
 	}
 }
 
-// drainLocked returns every queued buffer to the pool. Caller holds pc.mu.
-func (pc *peerConn) drainLocked() {
-	for _, b := range pc.control {
-		wire.PutBuffer(b)
+// takeLocked moves the next batch off the queues onto batch: every queued
+// control frame, then the first bulk frame, if any. One bulk frame per
+// batch keeps each write short: on loopback, batches of three 64 KiB
+// chunks raised a chunk stream's p99 latency by a fifth or more. Caller
+// holds pc.mu.
+func (pc *peerConn) takeLocked(batch []*wire.Frame) []*wire.Frame {
+	batch = append(batch, pc.control...)
+	clear(pc.control)
+	pc.control = pc.control[:0]
+	if len(pc.bulk) > 0 {
+		f := pc.bulk[0]
+		batch = append(batch, f)
+		n := copy(pc.bulk, pc.bulk[1:])
+		pc.bulk[n] = nil
+		pc.bulk = pc.bulk[:n]
+		pc.bulkBytes -= f.Len()
 	}
-	for _, b := range pc.bulk {
-		wire.PutBuffer(b)
+	return batch
+}
+
+// drainLocked returns every queued frame to the pool. Caller holds pc.mu.
+func (pc *peerConn) drainLocked() {
+	for _, f := range pc.control {
+		release(f)
+	}
+	for _, f := range pc.bulk {
+		release(f)
 	}
 	pc.control, pc.bulk, pc.bulkBytes = nil, nil, 0
 }

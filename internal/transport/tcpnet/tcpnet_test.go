@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -203,12 +204,13 @@ func TestMisroutedFrameDropped(t *testing.T) {
 // connection, in the same segment, still arrives.
 func TestCorruptFrameDroppedConnectionKept(t *testing.T) {
 	_, b, _, sb := newPair(t)
-	good, err := wire.EncodeFrame(wire.Envelope{From: ids.ClientEndpoint(77), To: b.Self(), Payload: note{N: 5}}, 0)
+	f, err := wire.EncodeFrame(wire.Envelope{From: ids.ClientEndpoint(77), To: b.Self(), Payload: note{N: 5}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wire.PutBuffer(good)
-	body := good.Bytes()[wire.FrameHeader:]
+	good := bytes.Join(f.AppendTo(nil), nil)
+	f.Release()
+	body := good[wire.FrameHeader:]
 	// Two frames whose length prefixes are right but whose bodies do not
 	// decode, then the good frame.
 	var stream []byte
@@ -216,7 +218,7 @@ func TestCorruptFrameDroppedConnectionKept(t *testing.T) {
 		stream = binary.BigEndian.AppendUint32(stream, uint32(len(bad)))
 		stream = append(stream, bad...)
 	}
-	stream = append(stream, good.Bytes()...)
+	stream = append(stream, good...)
 	conn, err := net.Dial("tcp", b.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -32,6 +32,9 @@ type Transport interface {
 	Self() ids.EndpointID
 	// Send transmits m to the destination, best-effort. A nil error means
 	// the message was accepted for transmission, not that it will arrive.
+	// The receiver gets a copy of m, but a transport may read m's byte
+	// slices of wire.OutOfLine bytes or more after Send returns, until
+	// they are written out (tcpnet does): the caller must not modify them.
 	Send(to ids.EndpointID, m wire.Message) error
 	// SetHandler installs the delivery callback. It must be called before
 	// any traffic is expected; envelopes arriving with no handler set are

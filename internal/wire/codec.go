@@ -122,10 +122,27 @@ func compile(t reflect.Type, cache map[reflect.Type]*codec) *codec {
 
 // encoder appends one encoded input to b. The first failure sticks in err
 // and ends the encoding.
+//
+// A frame encoder (frame set) leaves every []byte of at least OutOfLine
+// bytes where it lies: b gets its length prefix, and segs records the
+// bytes to be sent after that prefix. The input's encoding is then b with
+// each segment's bytes inserted at its offset.
 type encoder struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	frame bool
+	segs  []segment
 }
+
+// segment is a byte slice encoded out of line: its bytes come before b[off].
+type segment struct {
+	off  int
+	data []byte
+}
+
+// OutOfLine is the smallest []byte a frame encoding references instead of
+// copying. Below it, copying costs less than a separate write vector entry.
+const OutOfLine = 4 << 10
 
 // zeros pads a body length prefix that outgrew its one reserved byte.
 var zeros [binary.MaxVarintLen64]byte
@@ -150,7 +167,12 @@ func (c *codec) encode(e *encoder, v reflect.Value) {
 	case reflect.Slice:
 		if c.elem.kind == reflect.Uint8 {
 			bs := v.Bytes()
-			e.b = append(binary.AppendUvarint(e.b, uint64(len(bs))), bs...)
+			e.b = binary.AppendUvarint(e.b, uint64(len(bs)))
+			if e.frame && len(bs) >= OutOfLine {
+				e.segs = append(e.segs, segment{off: len(e.b), data: bs})
+				return
+			}
+			e.b = append(e.b, bs...)
 			return
 		}
 		c.encodeElems(e, v)
@@ -233,18 +255,26 @@ func (e *encoder) open() int {
 	return len(e.b) - 1
 }
 
-// close writes the length of the body opened at at. A body of 128 bytes or
-// more moves up to make room for its longer varint.
+// close writes the length of the body opened at at, counting the
+// segments inside it. A body of 128 bytes or more moves its inline bytes,
+// and the offsets of its segments, up to make room for its longer varint.
 func (e *encoder) close(at int) {
-	n := len(e.b) - at - 1
+	inline := len(e.b) - at - 1
+	n := inline
+	for i := len(e.segs) - 1; i >= 0 && e.segs[i].off > at; i-- {
+		n += len(e.segs[i].data)
+	}
 	if n < 0x80 {
 		e.b[at] = byte(n)
 		return
 	}
 	w := uvarintLen(uint64(n))
 	e.b = append(e.b, zeros[:w-1]...)
-	copy(e.b[at+w:], e.b[at+1:at+1+n])
+	copy(e.b[at+w:], e.b[at+1:at+1+inline])
 	binary.PutUvarint(e.b[at:], uint64(n))
+	for i := len(e.segs) - 1; i >= 0 && e.segs[i].off > at; i-- {
+		e.segs[i].off += w - 1
+	}
 }
 
 func (e *encoder) fail(err error) {

@@ -40,8 +40,13 @@ func init() { wire.Register(leaf{}) }
 
 // filler builds values with every exported field non-zero: two elements
 // per slice, two entries per map, a leaf in every wire.Message field.
-// Unexported fields stay zero, since the codec does not carry them.
-type filler struct{ n int64 }
+// Unexported fields stay zero, since the codec does not carry them. A
+// sized filler gives every []byte byteLen bytes instead (nil for zero).
+type filler struct {
+	n       int64
+	sized   bool
+	byteLen int
+}
 
 var messageType = reflect.TypeOf((*wire.Message)(nil)).Elem()
 
@@ -59,6 +64,12 @@ func (f *filler) fill(v reflect.Value) {
 	case reflect.String:
 		v.SetString(strings.Repeat("s", int(f.n%7)+1))
 	case reflect.Slice:
+		if f.sized && v.Type().Elem().Kind() == reflect.Uint8 {
+			if f.byteLen > 0 {
+				v.SetBytes(pattern(f.byteLen, byte(f.n)))
+			}
+			return
+		}
 		s := reflect.MakeSlice(v.Type(), 2, 2)
 		f.fill(s.Index(0))
 		f.fill(s.Index(1))
@@ -90,8 +101,12 @@ func (f *filler) fill(v reflect.Value) {
 
 // filled returns a value of the registered type t with every field set.
 func filled(t reflect.Type) wire.Message {
+	return fillWith(t, &filler{})
+}
+
+func fillWith(t reflect.Type, f *filler) wire.Message {
 	v := reflect.New(t).Elem()
-	(&filler{}).fill(v)
+	f.fill(v)
 	return v.Interface().(wire.Message)
 }
 

@@ -135,18 +135,17 @@ func Registered(name string) bool {
 // from a binary that still spoke gob fails to decode at its first byte.
 const frameFormat byte = 0xb1
 
-// appendEnvelope appends env's encoding: the format byte, both addresses,
-// then the payload message.
-func appendEnvelope(b []byte, env Envelope) ([]byte, error) {
+// envelope appends env's encoding: the format byte, both addresses, then
+// the payload message.
+func (e *encoder) envelope(env Envelope) {
 	if env.Payload == nil {
-		return b, errors.New("wire: encode: nil payload")
+		e.fail(errors.New("wire: encode: nil payload"))
+		return
 	}
-	e := encoder{b: b}
 	e.b = append(e.b, frameFormat)
 	e.b = appendEndpoint(e.b, env.From)
 	e.b = appendEndpoint(e.b, env.To)
 	e.message(reflect.ValueOf(env.Payload))
-	return e.b, e.err
 }
 
 func appendEndpoint(b []byte, ep ids.EndpointID) []byte {
@@ -157,7 +156,7 @@ func appendEndpoint(b []byte, ep ids.EndpointID) []byte {
 func Encode(env Envelope) ([]byte, error) {
 	buf := GetBuffer()
 	defer PutBuffer(buf)
-	if err := encodeInto(buf, env, 0); err != nil {
+	if err := encodeInto(buf, env); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), buf.Bytes()...), nil
@@ -244,7 +243,7 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 // counting the payload bytes that follow.
 const FrameHeader = 4
 
-// ReadFrameInto reads one frame written from EncodeFrame's buffer into
+// ReadFrameInto reads one frame written from an EncodeFrame Frame into
 // buf's storage, grown only when the frame does not fit, so a reader that
 // decodes each frame before the next (Decode copies out everything it
 // keeps) reuses one buffer. A length prefix above max (clamped to
@@ -298,55 +297,91 @@ func PutBuffer(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
-// EncodeBuffer serializes an envelope into a pooled buffer, avoiding a
-// fresh allocation per message on high-volume paths. The caller owns the
-// returned buffer and must release it with PutBuffer once the bytes have
-// been written out.
-func EncodeBuffer(env Envelope) (*bytes.Buffer, error) {
-	return encodePooled(env, 0)
+// Frame is one envelope encoded for a stream transport: the 4-byte length
+// prefix and the encoding, byte for byte what Encode returns. Every []byte
+// field of at least OutOfLine bytes stays where the message holds it and
+// is referenced, not copied, so the message's large byte slices must not
+// change until the frame is released. Frames are pooled: the holder
+// releases each exactly once.
+type Frame struct {
+	// b is the length prefix and the inline bytes.
+	b    []byte
+	segs []segment
+	// n is the frame's size, length prefix and segments included.
+	n int
 }
 
-// EncodeFrame is EncodeBuffer with the frame's 4-byte length prefix in
-// front, so a stream transport writes header and body in one call. An
-// envelope whose encoding exceeds max (clamped like ReadFrameInto's)
-// fails with an error wrapping ErrFrameTooLarge.
-func EncodeFrame(env Envelope, max int) (*bytes.Buffer, error) {
+var framePool = sync.Pool{New: func() any { return new(Frame) }}
+
+// Len returns the frame's size in bytes, length prefix included.
+func (f *Frame) Len() int { return f.n }
+
+// AppendTo appends the frame's bytes to v in order, as slices for a
+// vectored write: inline runs from the pooled buffer, large byte fields
+// as the message holds them.
+//
+//hafw:hotpath
+func (f *Frame) AppendTo(v [][]byte) [][]byte {
+	at := 0
+	for _, s := range f.segs {
+		v = append(v, f.b[at:s.off], s.data)
+		at = s.off
+	}
+	return append(v, f.b[at:])
+}
+
+// Release returns the frame to the pool, dropping its references to the
+// message's bytes. Neither the frame nor a slice from AppendTo may be used
+// after.
+//
+//hafw:hotpath
+func (f *Frame) Release() {
+	clear(f.segs)
+	f.segs, f.n = f.segs[:0], 0
+	if cap(f.b) > maxPooledBuffer {
+		f.b = nil
+	}
+	framePool.Put(f)
+}
+
+// EncodeFrame encodes env as one frame from the pool. An envelope whose
+// encoding exceeds max (clamped like ReadFrameInto's), out-of-line bytes
+// included, fails with an error wrapping ErrFrameTooLarge.
+func EncodeFrame(env Envelope, max int) (*Frame, error) {
 	if max <= 0 || max > MaxFrame {
 		max = MaxFrame
 	}
-	buf, err := encodePooled(env, FrameHeader)
-	if err != nil {
-		return nil, err
+	f := framePool.Get().(*Frame)
+	e := encoder{b: append(f.b[:0], zeros[:FrameHeader]...), frame: true, segs: f.segs[:0]}
+	e.envelope(env)
+	f.b, f.segs = e.b, e.segs
+	if e.err != nil {
+		f.Release()
+		return nil, e.err
 	}
-	b := buf.Bytes()
-	n := len(b) - FrameHeader
+	n := len(f.b) - FrameHeader
+	for _, s := range f.segs {
+		n += len(s.data)
+	}
 	if n > max {
-		PutBuffer(buf)
+		f.Release()
 		return nil, fmt.Errorf("wire: encoded %s of %d bytes exceeds max frame %d: %w",
 			env.Payload.WireName(), n, max, ErrFrameTooLarge)
 	}
-	binary.BigEndian.PutUint32(b, uint32(n))
-	return buf, nil
+	binary.BigEndian.PutUint32(f.b, uint32(n))
+	f.n = FrameHeader + n
+	return f, nil
 }
 
-// encodePooled encodes env into a pooled buffer after skip reserved bytes.
-func encodePooled(env Envelope, skip int) (*bytes.Buffer, error) {
-	buf := GetBuffer()
-	if err := encodeInto(buf, env, skip); err != nil {
-		PutBuffer(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
-// encodeInto replaces the contents of an empty buf with skip zero bytes
-// followed by env's encoding. The encoder appends to buf's spare storage
-// and the buffer then adopts the result, wherever growth moved it, without
-// a copy — so a pooled buffer keeps the capacity its largest frame needed.
-func encodeInto(buf *bytes.Buffer, env Envelope, skip int) error {
-	b, err := appendEnvelope(append(buf.AvailableBuffer(), zeros[:skip]...), env)
-	*buf = *bytes.NewBuffer(b)
-	return err
+// encodeInto replaces the contents of an empty buf with env's encoding.
+// The encoder appends to buf's spare storage and the buffer then adopts
+// the result, wherever growth moved it, without a copy — so a pooled
+// buffer keeps the capacity its largest encoding needed.
+func encodeInto(buf *bytes.Buffer, env Envelope) error {
+	e := encoder{b: buf.AvailableBuffer()}
+	e.envelope(env)
+	*buf = *bytes.NewBuffer(e.b)
+	return e.err
 }
 
 // CloneEnvelope deep-copies an envelope through the codec and reports its
@@ -354,7 +389,7 @@ func encodeInto(buf *bytes.Buffer, env Envelope, skip int) error {
 func CloneEnvelope(env Envelope) (Envelope, int, error) {
 	buf := GetBuffer()
 	defer PutBuffer(buf)
-	if err := encodeInto(buf, env, 0); err != nil {
+	if err := encodeInto(buf, env); err != nil {
 		return Envelope{}, 0, err
 	}
 	out, err := Decode(buf.Bytes())

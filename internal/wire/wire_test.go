@@ -106,14 +106,19 @@ func frames(t *testing.T, envs ...Envelope) []byte {
 	t.Helper()
 	var stream []byte
 	for _, env := range envs {
-		buf, err := EncodeFrame(env, 0)
+		f, err := EncodeFrame(env, 0)
 		if err != nil {
 			t.Fatalf("EncodeFrame: %v", err)
 		}
-		stream = append(stream, buf.Bytes()...)
-		PutBuffer(buf)
+		stream = append(stream, frameBytes(f)...)
+		f.Release()
 	}
 	return stream
+}
+
+// frameBytes concatenates a frame's pieces.
+func frameBytes(f *Frame) []byte {
+	return bytes.Join(f.AppendTo(nil), nil)
 }
 
 func textEnv(text string) Envelope {
@@ -172,44 +177,48 @@ func TestReadFrameLimit(t *testing.T) {
 	}
 }
 
-func TestEncodeBufferPooled(t *testing.T) {
+func TestEncodeFramePooled(t *testing.T) {
 	env := Envelope{
 		From:    ids.ProcessEndpoint(1),
 		To:      ids.ClientEndpoint(2),
 		Payload: testMsg{N: 42, Text: "pooled", List: []uint64{9}},
 	}
-	buf, err := EncodeBuffer(env)
+	f, err := EncodeFrame(env, 0)
 	if err != nil {
-		t.Fatalf("EncodeBuffer: %v", err)
+		t.Fatalf("EncodeFrame: %v", err)
 	}
 	plain, err := Encode(env)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), plain) {
-		t.Error("EncodeBuffer bytes differ from Encode")
+	if got := frameBytes(f); f.Len() != len(got) || !bytes.Equal(got[FrameHeader:], plain) {
+		t.Error("EncodeFrame bytes differ from Encode")
 	}
-	got, err := Decode(buf.Bytes())
+	f.Release()
+
+	// A recycled frame must come back empty.
+	f2, err := EncodeFrame(textEnv("x"), 0)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("EncodeFrame: %v", err)
 	}
-	if m, ok := got.Payload.(testMsg); !ok || m.N != 42 {
-		t.Errorf("payload mangled: %+v", got.Payload)
+	want := frames(t, textEnv("x"))
+	if got := frameBytes(f2); !bytes.Equal(got, want) {
+		t.Errorf("recycled frame = %x, want %x", got, want)
 	}
-	PutBuffer(buf)
+	f2.Release()
 
-	// A recycled buffer must come back empty.
-	b2 := GetBuffer()
-	if b2.Len() != 0 {
-		t.Errorf("pooled buffer not reset: %d bytes", b2.Len())
+	// So must a recycled Encode buffer.
+	b := GetBuffer()
+	if b.Len() != 0 {
+		t.Errorf("pooled buffer not reset: %d bytes", b.Len())
 	}
-	PutBuffer(b2)
+	PutBuffer(b)
 
-	if _, err := EncodeBuffer(Envelope{}); err == nil {
-		t.Error("EncodeBuffer with nil payload should fail")
+	if _, err := EncodeFrame(Envelope{}, 0); err == nil {
+		t.Error("EncodeFrame with nil payload should fail")
 	}
-	if _, err := EncodeBuffer(Envelope{Payload: unregisteredMsg{}}); err == nil {
-		t.Error("EncodeBuffer with unregistered payload should fail")
+	if _, err := EncodeFrame(Envelope{Payload: unregisteredMsg{}}, 0); err == nil {
+		t.Error("EncodeFrame with unregistered payload should fail")
 	}
 }
 
@@ -224,12 +233,12 @@ func TestFrameTruncatedBody(t *testing.T) {
 // TestFrameProperty round-trips random payloads through the framing layer.
 func TestFrameProperty(t *testing.T) {
 	f := func(text string) bool {
-		buf, err := EncodeFrame(textEnv(text), 0)
+		f, err := EncodeFrame(textEnv(text), 0)
 		if err != nil {
 			return false
 		}
-		defer PutBuffer(buf)
-		data, err := ReadFrameInto(bytes.NewReader(buf.Bytes()), nil, 0)
+		defer f.Release()
+		data, err := ReadFrameInto(bytes.NewReader(frameBytes(f)), nil, 0)
 		if err != nil {
 			return false
 		}
