@@ -10,8 +10,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"log"
 	"sync"
@@ -48,6 +46,7 @@ func init() {
 	wire.Register(SetName{})
 	wire.Register(Greet{})
 	wire.Register(Greeting{})
+	wire.Register(greeterCtx{})
 }
 
 // greeterService implements core.Service.
@@ -68,10 +67,14 @@ type greeterSession struct {
 	r      core.Responder
 }
 
+//hafw:handledby -
 type greeterCtx struct {
 	Name  string
 	Count int
 }
+
+// WireName implements wire.Message.
+func (greeterCtx) WireName() string { return "quickstart.greeterCtx" }
 
 func (s *greeterSession) ApplyUpdate(body wire.Message) {
 	s.mu.Lock()
@@ -104,14 +107,12 @@ func (s *greeterSession) Close() { s.Deactivate() }
 func (s *greeterSession) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(greeterCtx{Name: s.name, Count: s.count})
-	return buf.Bytes()
+	return core.EncodeContext(greeterCtx{Name: s.name, Count: s.count})
 }
 
 func (s *greeterSession) Restore(ctx []byte) {
-	var c greeterCtx
-	if gob.NewDecoder(bytes.NewReader(ctx)).Decode(&c) != nil {
+	c, ok := core.DecodeContext[greeterCtx](ctx)
+	if !ok {
 		return
 	}
 	s.mu.Lock()
@@ -120,8 +121,8 @@ func (s *greeterSession) Restore(ctx []byte) {
 }
 
 func (s *greeterSession) Sync(ctx []byte) {
-	var c greeterCtx
-	if gob.NewDecoder(bytes.NewReader(ctx)).Decode(&c) != nil {
+	c, ok := core.DecodeContext[greeterCtx](ctx)
+	if !ok {
 		return
 	}
 	s.mu.Lock()

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"testing"
@@ -35,27 +33,21 @@ func init() {
 	wire.Register(echoResp{})
 }
 
-// testCtx is the propagated context encoding.
+// testCtx is the propagated context.
 type testCtx struct {
 	Updates []string
 	Pos     int
 }
 
-func encodeCtx(c testCtx) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
+func (testCtx) WireName() string { return "coretest.testCtx" }
 
+func init() { wire.Register(testCtx{}) }
+
+// decodeCtx reads a propagated context; an empty one is the zero context.
 func decodeCtx(b []byte) testCtx {
-	var c testCtx
-	if len(b) == 0 {
-		return c
-	}
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
-		panic(err)
+	c, ok := DecodeContext[testCtx](b)
+	if !ok && len(b) > 0 {
+		panic(fmt.Sprintf("undecodable context %x", b))
 	}
 	return c
 }
@@ -131,7 +123,7 @@ func (s *testSession) Deactivate() {
 func (s *testSession) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return encodeCtx(s.ctx)
+	return EncodeContext(s.ctx)
 }
 
 func (s *testSession) Restore(ctx []byte) {

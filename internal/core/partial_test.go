@@ -63,8 +63,15 @@ func TestPartialReplication(t *testing.T) {
 		servers[pid] = srv
 	}
 
-	// Content groups reflect the partial layout.
+	// Content groups reflect the partial layout, and every server is in
+	// the full service group: a server still alone in it would answer
+	// ListUnits itself.
 	waitFor(t, 30*time.Second, func() bool {
+		for _, srv := range servers {
+			if !reflect.DeepEqual(srv.GroupMembers(ServiceGroup), world) {
+				return false
+			}
+		}
 		return reflect.DeepEqual(servers[1].GroupMembers(ContentGroup(unitA)), []ids.ProcessID{1, 2}) &&
 			reflect.DeepEqual(servers[1].GroupMembers(ContentGroup(unitB)), []ids.ProcessID{2, 3})
 	}, "partial content groups form")

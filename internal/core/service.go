@@ -18,7 +18,10 @@
 package core
 
 import (
+	"fmt"
+
 	"hafw/internal/ids"
+	"hafw/internal/store"
 	"hafw/internal/wire"
 )
 
@@ -80,7 +83,9 @@ type Session interface {
 	// the framework additionally disables the responder.
 	Deactivate()
 	// Snapshot encodes the session context for propagation to the unit
-	// database. Called periodically at the primary.
+	// database. Called periodically at the primary. A service declares its
+	// context as a registered wire.Message and encodes it with
+	// EncodeContext; Restore and Sync read it back with DecodeContext.
 	Snapshot() []byte
 	// Restore seeds the session from a propagated context (when a replica
 	// is drafted into the session group, or a fresh primary takes over
@@ -94,4 +99,24 @@ type Session interface {
 	// Close releases the session's resources (client ended the session, or
 	// this replica left the session group).
 	Close()
+}
+
+// EncodeContext encodes a session context for Session.Snapshot with the
+// wire codec. Equal contexts encode to equal bytes, which propagation
+// relies on to skip unchanged contexts. It panics if m's type is not
+// registered, a programming error.
+func EncodeContext(m wire.Message) []byte {
+	b, err := wire.EncodeMessage(m)
+	if err != nil {
+		panic(fmt.Sprintf("core: encode context %s: %v", m.WireName(), err))
+	}
+	return b
+}
+
+// DecodeContext decodes a context written by EncodeContext, or by an older
+// build that encoded contexts with gob (a data directory it left behind is
+// still recovered). It returns false for an empty context, meaning none
+// was ever propagated, and for bytes that are not a T.
+func DecodeContext[T wire.Message](b []byte) (T, bool) {
+	return store.Decode[T](b)
 }

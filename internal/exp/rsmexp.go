@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -21,8 +19,9 @@ type CounterIncr struct{}
 // WireName implements wire.Message.
 func (CounterIncr) WireName() string { return "exp.CounterIncr" }
 
-// CounterValue is the E10 command result. It rides inside the RSM reply
-// envelope's typed Result field rather than being dispatched on its own.
+// CounterValue is the E10 command result and the counter's snapshot. It
+// rides inside the RSM reply envelope's typed Result field and inside
+// snapshots rather than being dispatched on its own.
 //
 //hafw:handledby -
 type CounterValue struct {
@@ -60,22 +59,23 @@ func (c *counterSM) Apply(cmd wire.Message) wire.Message {
 func (c *counterSM) Snapshot() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c.n); err != nil {
+	b, err := wire.EncodeMessage(CounterValue{N: c.n})
+	if err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // Restore implements rsm.StateMachine.
 func (c *counterSM) Restore(data []byte) {
-	var n uint64
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&n); err != nil {
+	m, _ := wire.DecodeMessage(data)
+	v, ok := m.(CounterValue)
+	if !ok {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.n = n
+	c.n = v.N
 }
 
 func (c *counterSM) value() uint64 {

@@ -1,8 +1,6 @@
 package loadgen
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sync"
 
 	"hafw/internal/core"
@@ -34,6 +32,7 @@ func (EchoResp) WireName() string { return "loadgen.EchoResp" }
 func init() {
 	wire.Register(EchoReq{})
 	wire.Register(EchoResp{})
+	wire.Register(EchoContext{})
 }
 
 // EchoService is the measurement service: every applied EchoReq is
@@ -53,17 +52,22 @@ func (*EchoService) NewSession(unit ids.UnitName, sid ids.SessionID, client ids.
 	return &echoSession{}
 }
 
-// echoCtx is the propagated session context.
-type echoCtx struct {
+// EchoContext is the propagated session context, never dispatched.
+//
+//hafw:handledby -
+type EchoContext struct {
 	// Applied counts applied requests.
 	Applied uint64
 	// LastSeq is the highest applied sequence number.
 	LastSeq uint64
 }
 
+// WireName implements wire.Message.
+func (EchoContext) WireName() string { return "loadgen.EchoContext" }
+
 type echoSession struct {
 	mu     sync.Mutex
-	ctx    echoCtx
+	ctx    EchoContext
 	active bool
 	r      core.Responder
 }
@@ -102,19 +106,12 @@ func (s *echoSession) Close() { s.Deactivate() }
 func (s *echoSession) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.ctx); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return core.EncodeContext(s.ctx)
 }
 
 func (s *echoSession) Restore(ctx []byte) {
-	if len(ctx) == 0 {
-		return
-	}
-	var c echoCtx
-	if err := gob.NewDecoder(bytes.NewReader(ctx)).Decode(&c); err != nil {
+	c, ok := core.DecodeContext[EchoContext](ctx)
+	if !ok {
 		return
 	}
 	s.mu.Lock()
@@ -123,8 +120,8 @@ func (s *echoSession) Restore(ctx []byte) {
 }
 
 func (s *echoSession) Sync(ctx []byte) {
-	var c echoCtx
-	if err := gob.NewDecoder(bytes.NewReader(ctx)).Decode(&c); err != nil {
+	c, ok := core.DecodeContext[EchoContext](ctx)
+	if !ok {
 		return
 	}
 	s.mu.Lock()

@@ -1,13 +1,13 @@
 package rsm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
 
+	"hafw/internal/core"
 	"hafw/internal/gcs"
 	"hafw/internal/ids"
 	"hafw/internal/testutil"
@@ -39,6 +39,7 @@ func init() {
 	wire.Register(kvPut{})
 	wire.Register(kvIncr{})
 	wire.Register(kvResult{})
+	wire.Register(kvSnap{})
 }
 
 type kv struct {
@@ -63,30 +64,31 @@ func (s *kv) Apply(cmd wire.Message) wire.Message {
 	return kvResult{}
 }
 
+// kvSnap is the KV snapshot.
+type kvSnap struct {
+	M map[string]string
+	N map[string]int
+}
+
+func (kvSnap) WireName() string { return "rsmtest.kvSnap" }
+
 func (s *kv) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(struct {
-		M map[string]string
-		N map[string]int
-	}{s.m, s.n}); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return core.EncodeContext(kvSnap{M: s.m, N: s.n})
 }
 
 func (s *kv) Restore(data []byte) {
-	var dec struct {
-		M map[string]string
-		N map[string]int
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dec); err != nil {
+	dec, ok := core.DecodeContext[kvSnap](data)
+	if !ok {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m, s.n = dec.M, dec.N
+	// Empty maps decode as nil; Apply writes into these.
+	s.m, s.n = make(map[string]string), make(map[string]int)
+	maps.Copy(s.m, dec.M)
+	maps.Copy(s.n, dec.N)
 }
 
 func (s *kv) get(k string) string {

@@ -9,8 +9,6 @@
 package edu
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 
@@ -213,9 +211,12 @@ func init() {
 	wire.Register(Content{})
 	wire.Register(QuizResult{})
 	wire.Register(Done{})
+	wire.Register(lessonContext{})
 }
 
-// lessonContext is the propagated session context.
+// lessonContext is the propagated session context, never dispatched.
+//
+//hafw:handledby -
 type lessonContext struct {
 	// Cursor is the next syllabus position.
 	Cursor int
@@ -227,24 +228,8 @@ type lessonContext struct {
 	NeedRemedial int
 }
 
-func encodeLessonCtx(c lessonContext) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		panic("edu: context encode: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeLessonCtx(b []byte) (lessonContext, bool) {
-	if len(b) == 0 {
-		return lessonContext{}, false
-	}
-	var c lessonContext
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
-		return lessonContext{}, false
-	}
-	return c, true
-}
+// WireName implements wire.Message.
+func (lessonContext) WireName() string { return "edu.lessonContext" }
 
 // Service is the education provider for one topic; it implements
 // core.Service.
@@ -375,12 +360,12 @@ func (s *session) Close() { s.Deactivate() }
 func (s *session) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return encodeLessonCtx(s.ctx)
+	return core.EncodeContext(s.ctx)
 }
 
 // Restore implements core.Session.
 func (s *session) Restore(ctx []byte) {
-	c, ok := decodeLessonCtx(ctx)
+	c, ok := core.DecodeContext[lessonContext](ctx)
 	if !ok {
 		return
 	}
@@ -393,7 +378,7 @@ func (s *session) Restore(ctx []byte) {
 // far the primary's responses advanced the lesson; graded counts arrived
 // via ApplyUpdate already, so only forward movement is adopted.
 func (s *session) Sync(ctx []byte) {
-	c, ok := decodeLessonCtx(ctx)
+	c, ok := core.DecodeContext[lessonContext](ctx)
 	if !ok {
 		return
 	}

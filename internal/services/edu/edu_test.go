@@ -238,7 +238,7 @@ func TestSyncAdvancesOnly(t *testing.T) {
 	if c, _ := b.Progress(); c != 3 {
 		t.Fatalf("sync cursor = %d, want 3", c)
 	}
-	b.Sync(encodeLessonCtx(lessonContext{Cursor: 1, NeedRemedial: -1}))
+	b.Sync(core.EncodeContext(lessonContext{Cursor: 1, NeedRemedial: -1}))
 	if c, _ := b.Progress(); c != 3 {
 		t.Fatal("sync must not move backwards")
 	}

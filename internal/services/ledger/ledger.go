@@ -10,8 +10,6 @@
 package ledger
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sync"
 
 	"hafw/internal/core"
@@ -47,7 +45,8 @@ type Dump struct{}
 // WireName implements wire.Message.
 func (Dump) WireName() string { return "sim.LedgerDump" }
 
-// Tags is the primary's reply to a Dump.
+// Tags is the primary's reply to a Dump, and the session context a
+// primary propagates.
 //
 //hafw:handledby hafw/internal/sim
 type Tags struct {
@@ -159,34 +158,24 @@ func (s *session) Close() {
 func (s *session) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(s.tags)
-	return buf.Bytes()
+	return core.EncodeContext(Tags{Tags: s.tags})
 }
 
 // Restore implements core.Session.
 func (s *session) Restore(ctx []byte) {
-	tags := decode(ctx)
+	c, _ := core.DecodeContext[Tags](ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tags = tags
+	s.tags = c.Tags
 }
 
 // Sync implements core.Session: propagated context only ever extends the
 // history, so the longer list wins.
 func (s *session) Sync(ctx []byte) {
-	tags := decode(ctx)
+	c, _ := core.DecodeContext[Tags](ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(tags) > len(s.tags) {
-		s.tags = tags
+	if len(c.Tags) > len(s.tags) {
+		s.tags = c.Tags
 	}
-}
-
-func decode(ctx []byte) []string {
-	var tags []string
-	if len(ctx) > 0 {
-		_ = gob.NewDecoder(bytes.NewReader(ctx)).Decode(&tags)
-	}
-	return tags
 }

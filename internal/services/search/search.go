@@ -7,8 +7,6 @@
 package search
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"strings"
@@ -132,33 +130,20 @@ func init() {
 	wire.Register(Query{})
 	wire.Register(Intersect{})
 	wire.Register(ResultSet{})
+	wire.Register(searchContext{})
 }
 
 // searchContext is the propagated session context: the history of result
-// sets.
+// sets, never dispatched.
+//
+//hafw:handledby -
 type searchContext struct {
 	// Sets holds each query's result IDs, in query order.
 	Sets [][]int
 }
 
-func encodeSearchCtx(c searchContext) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		panic("search: context encode: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeSearchCtx(b []byte) (searchContext, bool) {
-	if len(b) == 0 {
-		return searchContext{}, false
-	}
-	var c searchContext
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
-		return searchContext{}, false
-	}
-	return c, true
-}
+// WireName implements wire.Message.
+func (searchContext) WireName() string { return "search.searchContext" }
 
 // Service is the search provider for one corpus; it implements
 // core.Service.
@@ -303,12 +288,12 @@ func (s *session) Close() { s.Deactivate() }
 func (s *session) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return encodeSearchCtx(s.ctx)
+	return core.EncodeContext(s.ctx)
 }
 
 // Restore implements core.Session.
 func (s *session) Restore(ctx []byte) {
-	c, ok := decodeSearchCtx(ctx)
+	c, ok := core.DecodeContext[searchContext](ctx)
 	if !ok {
 		return
 	}
@@ -321,7 +306,7 @@ func (s *session) Restore(ctx []byte) {
 // from totally ordered queries, so a backup's history is already exact;
 // the propagated history only fills gaps for freshly drafted replicas.
 func (s *session) Sync(ctx []byte) {
-	c, ok := decodeSearchCtx(ctx)
+	c, ok := core.DecodeContext[searchContext](ctx)
 	if !ok {
 		return
 	}

@@ -15,8 +15,6 @@
 package vod
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sync"
 
 	"hafw/internal/core"
@@ -83,13 +81,17 @@ func init() {
 	wire.Register(ManifestResp{})
 	wire.Register(GetChunk{})
 	wire.Register(ChunkResp{})
+	wire.Register(StreamContext{})
 }
 
 // StreamContext is the propagated session context of the stream plane:
 // the paper's playback position generalized to (acked frontier,
 // outstanding window, bitrate). Because every field is driven by totally
 // ordered client pulls, backups hold it exactly; propagation under T only
-// serves replicas that joined after the pulls (Restore path).
+// serves replicas that joined after the pulls (Restore path). It is
+// never dispatched.
+//
+//hafw:handledby -
 type StreamContext struct {
 	// Acked is the client's contiguous frontier as of the last pull.
 	Acked media.Pos
@@ -103,24 +105,8 @@ type StreamContext struct {
 	Pulls uint64
 }
 
-func encodeStreamContext(c StreamContext) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		panic("vod: stream context encode: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeStreamContext(b []byte) (StreamContext, bool) {
-	if len(b) == 0 {
-		return StreamContext{}, false
-	}
-	var c StreamContext
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
-		return StreamContext{}, false
-	}
-	return c, true
-}
+// WireName implements wire.Message.
+func (StreamContext) WireName() string { return "vod.StreamContext" }
 
 // Stream is the chunked VoD provider for one title on one server; it
 // implements core.Service over a media.Store.
@@ -363,13 +349,13 @@ func (ss *streamSession) stopSender() {
 func (ss *streamSession) Snapshot() []byte {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	return encodeStreamContext(ss.ctx)
+	return core.EncodeContext(ss.ctx)
 }
 
 // Restore implements core.Session: a cold replica adopts the propagated
 // context wholesale.
 func (ss *streamSession) Restore(ctx []byte) {
-	c, ok := decodeStreamContext(ctx)
+	c, ok := core.DecodeContext[StreamContext](ctx)
 	if !ok {
 		return
 	}
@@ -383,7 +369,7 @@ func (ss *streamSession) Restore(ctx []byte) {
 // a strictly fresher context (more pulls seen by the primary than applied
 // locally, possible during a join race) advances anything.
 func (ss *streamSession) Sync(ctx []byte) {
-	c, ok := decodeStreamContext(ctx)
+	c, ok := core.DecodeContext[StreamContext](ctx)
 	if !ok {
 		return
 	}

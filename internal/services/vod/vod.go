@@ -13,8 +13,6 @@
 package vod
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sync"
 	"time"
 
@@ -141,7 +139,9 @@ type SetRate struct {
 func (SetRate) WireName() string { return "vod.SetRate" }
 
 // Context is the session context: exactly the state the paper says a VoD
-// session carries.
+// session carries, never dispatched.
+//
+//hafw:handledby -
 type Context struct {
 	// Pos is the next frame to send.
 	Pos uint64
@@ -151,24 +151,8 @@ type Context struct {
 	FPS float64
 }
 
-func encodeContext(c Context) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		panic("vod: context encode: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeContext(b []byte) (Context, bool) {
-	if len(b) == 0 {
-		return Context{}, false
-	}
-	var c Context
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
-		return Context{}, false
-	}
-	return c, true
-}
+// WireName implements wire.Message.
+func (Context) WireName() string { return "vod.Context" }
 
 // TakeoverPolicy decides what a new primary does about the uncertainty
 // window — the frames that may or may not have been sent between the last
@@ -199,6 +183,7 @@ func init() {
 	wire.Register(Pause{})
 	wire.Register(Seek{})
 	wire.Register(SetRate{})
+	wire.Register(Context{})
 }
 
 // Service is the VoD provider for one movie on one server; it implements
@@ -383,12 +368,12 @@ func (s *session) stopPump() {
 func (s *session) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return encodeContext(s.ctx)
+	return core.EncodeContext(s.ctx)
 }
 
 // Restore implements core.Session.
 func (s *session) Restore(ctx []byte) {
-	c, ok := decodeContext(ctx)
+	c, ok := core.DecodeContext[Context](ctx)
 	if !ok {
 		return
 	}
@@ -402,7 +387,7 @@ func (s *session) Restore(ctx []byte) {
 // every client update was applied locally (the paper's intermediate
 // freshness level).
 func (s *session) Sync(ctx []byte) {
-	c, ok := decodeContext(ctx)
+	c, ok := core.DecodeContext[Context](ctx)
 	if !ok {
 		return
 	}

@@ -195,11 +195,11 @@ func TestRestoreEmptyAndGarbage(t *testing.T) {
 func TestSyncOnlyAdvances(t *testing.T) {
 	s := newTestSession(ResendUncertain)
 	s.ApplyUpdate(Seek{Frame: 100})
-	s.Sync(encodeContext(Context{Pos: 50}))
+	s.Sync(core.EncodeContext(Context{Pos: 50}))
 	if s.Position() != 100 {
 		t.Error("Sync must not move position backwards")
 	}
-	s.Sync(encodeContext(Context{Pos: 150}))
+	s.Sync(core.EncodeContext(Context{Pos: 150}))
 	if s.Position() != 150 {
 		t.Error("Sync must advance position")
 	}
@@ -237,7 +237,7 @@ func TestDeactivateStopsStreaming(t *testing.T) {
 
 func TestTakeoverPolicyResend(t *testing.T) {
 	s := newTestSession(ResendUncertain)
-	s.Restore(encodeContext(Context{Pos: 100, Playing: true, FPS: 500}))
+	s.Restore(core.EncodeContext(Context{Pos: 100, Playing: true, FPS: 500}))
 	r := newFakeResponder()
 	s.Activate(r)
 	defer s.Close()
@@ -255,7 +255,7 @@ func TestTakeoverPolicyResend(t *testing.T) {
 
 func TestTakeoverPolicyDrop(t *testing.T) {
 	s := newTestSession(DropUncertain)
-	s.Restore(encodeContext(Context{Pos: 100, Playing: true, FPS: 500}))
+	s.Restore(core.EncodeContext(Context{Pos: 100, Playing: true, FPS: 500}))
 	r := newFakeResponder()
 	s.Activate(r)
 	defer s.Close()
@@ -274,7 +274,7 @@ func TestTakeoverPolicyDrop(t *testing.T) {
 
 func TestTakeoverPolicyMPEG(t *testing.T) {
 	s := newTestSession(MPEGPolicy)
-	s.Restore(encodeContext(Context{Pos: 100, Playing: true, FPS: 500}))
+	s.Restore(core.EncodeContext(Context{Pos: 100, Playing: true, FPS: 500}))
 	r := newFakeResponder()
 	s.Activate(r)
 	defer s.Close()
@@ -295,7 +295,7 @@ func TestTakeoverPolicyMPEG(t *testing.T) {
 
 	// From a boundary position, the I frame itself is resent.
 	s2 := newTestSession(MPEGPolicy)
-	s2.Restore(encodeContext(Context{Pos: 96, Playing: true, FPS: 500}))
+	s2.Restore(core.EncodeContext(Context{Pos: 96, Playing: true, FPS: 500}))
 	r2 := newFakeResponder()
 	s2.Activate(r2)
 	defer s2.Close()

@@ -1,16 +1,15 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"hafw/internal/unitdb"
+	"hafw/internal/wire"
 )
 
-// Checkpoint files hold one CRC-framed gob-encoded unitdb.Snapshot. A
+// Checkpoint files hold one CRC-framed unitdb.Snapshot message. A
 // checkpoint named ckpt-N captures the database state covered by segments
 // < N; recovery restores the newest valid checkpoint and replays segments
 // >= N on top.
@@ -24,8 +23,8 @@ func segmentName(seq uint64) string { return fmt.Sprintf("wal-%08d.log", seq) }
 // writeCheckpoint atomically persists a snapshot: write to a temp file,
 // fsync, rename into place, fsync the directory.
 func writeCheckpoint(dir string, seq uint64, snap unitdb.Snapshot) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+	body, err := wire.EncodeMessage(snap)
+	if err != nil {
 		return fmt.Errorf("store: encode checkpoint: %w", err)
 	}
 	tmp, err := os.CreateTemp(dir, "ckpt-*.tmp")
@@ -34,7 +33,7 @@ func writeCheckpoint(dir string, seq uint64, snap unitdb.Snapshot) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
-	if err := appendFrame(tmp, buf.Bytes()); err != nil {
+	if err := appendFrame(tmp, body); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -63,9 +62,9 @@ func readCheckpoint(path string) (unitdb.Snapshot, error) {
 	if err != nil {
 		return unitdb.Snapshot{}, fmt.Errorf("store: checkpoint %s: %w", filepath.Base(path), errTorn)
 	}
-	var snap unitdb.Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return unitdb.Snapshot{}, fmt.Errorf("store: decode checkpoint %s: %w", filepath.Base(path), err)
+	snap, ok := Decode[unitdb.Snapshot](payload)
+	if !ok {
+		return unitdb.Snapshot{}, fmt.Errorf("store: decode checkpoint %s: not a snapshot", filepath.Base(path))
 	}
 	return snap, nil
 }

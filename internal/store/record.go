@@ -1,12 +1,11 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"hafw/internal/ids"
 	"hafw/internal/unitdb"
+	"hafw/internal/wire"
 )
 
 // Op identifies one kind of unit-database mutation in the log.
@@ -43,6 +42,9 @@ func (o Op) String() string {
 }
 
 // Record is one logged mutation. Only the fields relevant to Op are set.
+// It is only logged, never dispatched.
+//
+//hafw:handledby -
 type Record struct {
 	// Op is the mutation kind.
 	Op Op
@@ -58,6 +60,11 @@ type Record struct {
 	Stamp uint64
 }
 
+// WireName implements wire.Message.
+func (Record) WireName() string { return "store.Record" }
+
+func init() { wire.Register(Record{}) }
+
 // Apply replays the mutation into a database. Replay is idempotent for
 // OpCtx (the stamp check) and OpClose (tombstones), and ordered appends
 // keep OpCreate/OpAlloc deterministic.
@@ -72,24 +79,4 @@ func (r Record) Apply(db *unitdb.DB) {
 	case OpAlloc:
 		db.SetAllocation(r.SID, r.Primary, r.Backups)
 	}
-}
-
-// encodeRecord serializes a record for framing. Each record is a
-// self-contained gob stream so any frame can be decoded in isolation
-// (recovery never depends on earlier frames decoding).
-func encodeRecord(r Record) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("store: encode record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeRecord parses a frame payload back into a record.
-func decodeRecord(data []byte) (Record, error) {
-	var r Record
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&r); err != nil {
-		return Record{}, fmt.Errorf("store: decode record: %w", err)
-	}
-	return r, nil
 }

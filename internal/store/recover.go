@@ -61,7 +61,8 @@ func listDir(dir string) (dirState, error) {
 // the newest valid checkpoint, then replays every WAL segment at or after
 // it, stopping cleanly at the first torn or corrupt record (a crashed
 // process's unfinished tail). A missing or empty directory yields an
-// empty database for the given unit.
+// empty database for the given unit; checkpoints of which none is
+// readable yield an error.
 func Recover(dir string, unit ids.UnitName) (*unitdb.DB, RecoverStats, error) {
 	db := unitdb.New(unit)
 	var stats RecoverStats
@@ -75,11 +76,16 @@ func Recover(dir string, unit ids.UnitName) (*unitdb.DB, RecoverStats, error) {
 	}
 
 	// Newest checkpoint that validates wins; older ones are fallbacks
-	// against a crash mid-publish.
+	// against latent corruption. The segments before the oldest one were
+	// truncated away, so when none validates the log alone would rebuild
+	// a database silently missing sessions: refuse instead.
 	for i := len(st.checkpoints) - 1; i >= 0; i-- {
 		seq := st.checkpoints[i]
 		snap, err := readCheckpoint(filepath.Join(dir, checkpointName(seq)))
 		if err != nil {
+			if i == 0 {
+				return nil, stats, fmt.Errorf("store: recover: no checkpoint is readable and the log they truncated is gone: %w", err)
+			}
 			continue
 		}
 		db.Restore(snap)
@@ -98,9 +104,9 @@ func Recover(dir string, unit ids.UnitName) (*unitdb.DB, RecoverStats, error) {
 			return nil, stats, fmt.Errorf("store: recover segment %d: %w", seg, err)
 		}
 		validEnd, torn, err := scanFrames(bufio.NewReader(f), func(payload []byte) error {
-			rec, err := decodeRecord(payload)
-			if err != nil {
-				return err
+			rec, ok := Decode[Record](payload)
+			if !ok {
+				return fmt.Errorf("store: segment %d: a record does not decode", seg)
 			}
 			rec.Apply(db)
 			stats.Replayed++

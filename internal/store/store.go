@@ -30,6 +30,7 @@ import (
 	"hafw/internal/ids"
 	"hafw/internal/metrics"
 	"hafw/internal/unitdb"
+	"hafw/internal/wire"
 )
 
 // Policy selects when appends reach stable storage.
@@ -178,9 +179,11 @@ func (s *Store) openSegmentLocked() error {
 
 // Append logs one mutation record.
 func (s *Store) Append(rec Record) error {
-	payload, err := encodeRecord(rec)
+	// Each record is a self-contained message, so any frame decodes in
+	// isolation: recovery never depends on earlier frames decoding.
+	payload, err := wire.EncodeMessage(rec)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: encode record: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

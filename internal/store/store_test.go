@@ -286,3 +286,81 @@ func TestRecoverMissingDir(t *testing.T) {
 		t.Fatal("missing dir recovered state")
 	}
 }
+
+// TestUnreadableCheckpointsFail replaces both kept checkpoints with frames
+// that pass their CRC but hold no snapshot. The segments before them were
+// truncated, so replaying the rest would silently lose sessions 1-3:
+// recovery must fail instead.
+func TestUnreadableCheckpointsFail(t *testing.T) {
+	dir := t.TempDir()
+	s, db, _ := openT(t, dir, Options{Policy: FsyncAlways})
+	for i := 1; i <= 4; i++ {
+		logSession(t, s, ids.SessionID(i), 1)
+		db.Put(unitdb.Session{ID: ids.SessionID(i), Client: ids.ClientID(1000 + i)})
+		if i >= 2 {
+			if err := s.Checkpoint(db.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.Close()
+	st, err := listDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.checkpoints) != 2 {
+		t.Fatalf("%d checkpoints kept, want 2", len(st.checkpoints))
+	}
+	for _, seq := range st.checkpoints {
+		f, err := os.Create(filepath.Join(dir, checkpointName(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := appendFrame(f, []byte("not a snapshot")); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	if db, _, err := Recover(dir, "u"); err == nil {
+		t.Fatalf("recovered %d of 4 sessions from unreadable checkpoints without an error", db.Len())
+	}
+	if _, _, _, err := Open(Options{Dir: dir, Unit: "u"}); err == nil {
+		t.Fatal("Open accepted unreadable checkpoints")
+	}
+}
+
+// FuzzRecover writes the input as a directory's only WAL segment, and
+// framed as its only checkpoint, and recovers each. Recover may fail but
+// must not panic. The seeds are the segments and checkpoint bodies of the
+// frozen directories, one per format.
+func FuzzRecover(f *testing.F) {
+	for _, dir := range []string{"gob-era", "binary"} {
+		seg, err := os.ReadFile(filepath.Join("testdata", dir, segmentName(2)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		ckpt, err := os.ReadFile(filepath.Join("testdata", dir, checkpointName(2)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seg)
+		f.Add(ckpt[frameHeaderSize:])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		segDir, ckptDir := t.TempDir(), t.TempDir()
+		if err := os.WriteFile(filepath.Join(segDir, segmentName(1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		Recover(segDir, "u")
+		ckpt, err := os.Create(filepath.Join(ckptDir, checkpointName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = appendFrame(ckpt, data)
+		ckpt.Close()
+		if err != nil {
+			return
+		}
+		Recover(ckptDir, "u")
+	})
+}
