@@ -26,7 +26,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -115,7 +114,7 @@ func run(seed int64, nodes, clients, backups int, prop, virtual time.Duration,
 		return err
 	}
 	if printEvents {
-		os.Stdout.Write(sim.Trace(rep.Config, expand(rep.Config, sched)))
+		os.Stdout.Write(sim.Trace(rep.Config, sim.Expand(rep.Config, sched)))
 	}
 	printReport(rep, time.Since(start))
 	if !rep.Failed() {
@@ -126,13 +125,6 @@ func run(seed int64, nodes, clients, backups int, prop, virtual time.Duration,
 	}
 	os.Exit(1)
 	return nil
-}
-
-// expand re-derives the concrete event list the run injected; Run and
-// expand use the same seed and are deterministic, so the bytes match the
-// run exactly.
-func expand(cfg sim.Config, sched *sim.Schedule) []sim.Event {
-	return sched.Expand(rand.New(rand.NewSource(cfg.Seed)), cfg.Nodes, cfg.Virtual-cfg.Tail)
 }
 
 func printReport(rep *sim.Report, wall time.Duration) {
@@ -155,7 +147,7 @@ func printReport(rep *sim.Report, wall time.Duration) {
 // is "re-simulating this sublist still fails", so every probe is a full
 // deterministic run from the same seed.
 func shrinkFailure(cfg sim.Config, sched *sim.Schedule, probes int) {
-	events := expand(cfg, sched)
+	events := sim.Expand(cfg, sched)
 	fmt.Printf("\nshrinking %d events (max %d probes)...\n", len(events), probes)
 	minimal := sim.Shrink(events, func(sub []sim.Event) bool {
 		probeCfg := cfg

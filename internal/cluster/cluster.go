@@ -22,7 +22,6 @@ import (
 	"hafw/internal/loadgen"
 	"hafw/internal/metrics"
 	"hafw/internal/obs"
-	"hafw/internal/store"
 	"hafw/internal/testutil"
 	"hafw/internal/trace"
 	"hafw/internal/transport"
@@ -259,13 +258,12 @@ func (c *Cluster) start(pid ids.ProcessID) error {
 		AckInterval:  c.timers.AckInterval,
 	}
 	if c.cfg.DataDir != "" {
-		// Interval fsync keeps disk syncs off the event loop: at these
-		// compressed failure-detector timescales, per-append fsyncs can
-		// stall heartbeats long enough to cause false suspicions and view
-		// churn. Stop still flushes everything via Close.
+		// The default interval fsync keeps disk syncs off the event loop:
+		// at these compressed failure-detector timescales, per-append
+		// fsyncs can stall heartbeats long enough to cause false
+		// suspicions and view churn. Stop still flushes everything via
+		// Close.
 		cfg.DataDir = c.dataDir(pid)
-		cfg.Fsync = store.FsyncInterval
-		cfg.FsyncInterval = 10 * time.Millisecond
 	}
 	srv, err := core.NewServer(cfg)
 	if err != nil {

@@ -84,7 +84,7 @@ func TestRequestPathEnvelopeBudget(t *testing.T) {
 			t.Errorf("%.3f Data+DataAck per request, budget 0.05: members forward copies the sequencer has", got)
 		}
 		// The only resolves left are the background refreshes, one per
-		// session per CacheTTL (250ms), however many requests that spans.
+		// session per cache TTL (250ms), however many requests that spans.
 		refreshes := 2 * uint64(elapsed/(250*time.Millisecond)+1)
 		if got := sentOf(sent, "vsync.Resolve") + c.Stats().Reresolves - res0; got > requests/100+refreshes {
 			t.Errorf("%d resolves for %d requests in %v, budget 0.01 per request plus %d refreshes", got, requests, elapsed, refreshes)
@@ -150,10 +150,10 @@ func TestSendsSurviveBootstrapCrash(t *testing.T) {
 			t.Fatalf("send %d with the bootstrap server down: %v", i, err)
 		}
 		inSend += time.Since(start)
-		time.Sleep(5 * time.Millisecond) // spans two CacheTTLs: refreshes come due
+		time.Sleep(5 * time.Millisecond) // spans two cache TTLs: refreshes come due
 	}
 	if limit := 150 * time.Millisecond; inSend > limit {
-		t.Fatalf("100 sends spent %v inside Send, want at most one ResolveTimeout (%v) in total", inSend, limit)
+		t.Fatalf("100 sends spent %v inside Send, want at most one resolve timeout (%v) in total", inSend, limit)
 	}
 	// Whoever serves the session now (the crash may have taken its primary)
 	// answers again.
@@ -174,7 +174,7 @@ func (w *world) newFrozenClient(cid ids.ClientID) *Client {
 	c := w.newClient(cid)
 	g, err := gcs.NewClient(gcs.ClientConfig{
 		Self: cid, Transport: c.cfg.Transport, Servers: w.pids,
-		OnMessage: c.onMessage, CacheTTL: time.Hour,
+		OnMessage: c.onMessage, Clock: testutil.NewFrozenClock(),
 	})
 	if err != nil {
 		w.t.Fatal(err)

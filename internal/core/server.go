@@ -14,7 +14,6 @@ import (
 	"hafw/internal/clock"
 	"hafw/internal/gcs"
 	"hafw/internal/ids"
-	"hafw/internal/membership"
 	"hafw/internal/metrics"
 	"hafw/internal/obs"
 	"hafw/internal/store"
@@ -79,8 +78,6 @@ type Config struct {
 	DataDir string
 	// Fsync selects the store's durability policy when DataDir is set.
 	Fsync store.Policy
-	// FsyncInterval overrides the interval policy's timer period (testing).
-	FsyncInterval time.Duration
 
 	// Clock is the time source for propagation scheduling, session
 	// activity stamps, and telemetry, passed down to the whole GCS stack.
@@ -246,11 +243,10 @@ func NewServer(cfg Config) (*Server, error) {
 		if cfg.DataDir != "" {
 			dir := filepath.Join(cfg.DataDir, unitDirName(uc.Unit))
 			st, db, rstats, err := store.Open(store.Options{
-				Dir:      dir,
-				Unit:     uc.Unit,
-				Policy:   cfg.Fsync,
-				Interval: cfg.FsyncInterval,
-				Metrics:  reg,
+				Dir:     dir,
+				Unit:    uc.Unit,
+				Policy:  cfg.Fsync,
+				Metrics: reg,
 			})
 			if err != nil {
 				return nil, err
@@ -401,12 +397,6 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // AddPeer adds a newly spawned server to the monitored world.
 func (s *Server) AddPeer(p ids.ProcessID) { s.proc.AddPeer(p) }
-
-// ProcessView exposes the current process-level membership view (test and
-// monitoring hook).
-func (s *Server) ProcessView() membership.View {
-	return s.proc.View()
-}
 
 // GroupMembers exposes the GCS's view of a group's membership (test and
 // monitoring hook).

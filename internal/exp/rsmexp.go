@@ -122,7 +122,7 @@ func E10RSM(opsPerNode int) (Table, error) {
 			return err
 		}
 		nd.proc = proc
-		rep, err := rsm.New(rsm.Config{Group: group, Machine: nd.sm, Proc: proc, Bootstrapped: boot, SubmitTimeout: 5 * time.Second})
+		rep, err := rsm.New(rsm.Config{Group: group, Machine: nd.sm, Proc: proc, Bootstrapped: boot})
 		if err != nil {
 			return err
 		}

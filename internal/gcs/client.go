@@ -36,6 +36,15 @@ func (e *groupError) Error() string {
 
 func (e *groupError) Unwrap() error { return ErrNoServers }
 
+const (
+	// resolveTimeout bounds one resolution round-trip.
+	resolveTimeout = 150 * time.Millisecond
+	// cacheTTL is how long a resolved membership is used before it is
+	// refreshed in the background (sends keep going to the old members
+	// until the answer arrives).
+	cacheTTL = 250 * time.Millisecond
+)
+
 // ClientConfig parameterizes a Client.
 type ClientConfig struct {
 	// Self is the client identity.
@@ -48,12 +57,6 @@ type ClientConfig struct {
 	Servers []ids.ProcessID
 	// OnMessage receives point-to-point messages (server responses).
 	OnMessage func(from ids.EndpointID, m wire.Message)
-	// ResolveTimeout bounds one resolution round-trip. Zero means 150ms.
-	ResolveTimeout time.Duration
-	// CacheTTL is how long a resolved membership is used before it is
-	// refreshed in the background (sends keep going to the old members
-	// until the answer arrives). Zero means 250ms.
-	CacheTTL time.Duration
 	// Clock is the time source for resolve deadlines and cache aging. Nil
 	// means the wall clock.
 	Clock clock.Clock
@@ -102,12 +105,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.Transport == nil {
 		return nil, errors.New("gcs: ClientConfig.Transport is required")
-	}
-	if cfg.ResolveTimeout == 0 {
-		cfg.ResolveTimeout = 150 * time.Millisecond
-	}
-	if cfg.CacheTTL == 0 {
-		cfg.CacheTTL = 250 * time.Millisecond
 	}
 	c := &Client{
 		cfg:     cfg,
@@ -169,7 +166,7 @@ func (c *Client) route(env wire.Envelope) {
 }
 
 // Resolve returns the membership of g to send to. A known membership is
-// returned at once, however old; past CacheTTL a refresh is also requested,
+// returned at once, however old; past cacheTTL a refresh is also requested,
 // without waiting: the send in hand goes to the old members and a later one
 // picks up the answer. Only a group the client knows nothing about costs a
 // round trip: the bootstrap servers are asked in turn, starting with the
@@ -181,7 +178,7 @@ func (c *Client) Resolve(g ids.GroupName) ([]ids.ProcessID, error) {
 	if e, ok := c.cache[g]; ok {
 		var ask ids.ProcessID
 		now := c.clk.Now()
-		due := now.Sub(e.at) >= c.cfg.CacheTTL
+		due := now.Sub(e.at) >= cacheTTL
 		if due {
 			ask, due = c.askLocked(g, e, now)
 		}
@@ -205,7 +202,7 @@ func (c *Client) Resolve(g ids.GroupName) ([]ids.ProcessID, error) {
 		c.waiters[g] = append(c.waiters[g], ch)
 		c.mu.Unlock()
 		_ = c.tr.Send(ids.ProcessEndpoint(s), vsync.Resolve{Group: g})
-		members, ok := waitx.RecvC(c.clk, ch, c.cfg.ResolveTimeout)
+		members, ok := waitx.RecvC(c.clk, ch, resolveTimeout)
 		if !ok {
 			c.dropWaiter(g, ch)
 			continue
@@ -223,11 +220,11 @@ func (c *Client) Resolve(g ids.GroupName) ([]ids.ProcessID, error) {
 
 // askLocked decides whether a background refresh of g's entry e is due
 // and, if so, records it and names the server to ask. At most one request
-// per ResolveTimeout goes out for a group; one that went unanswered moves
+// per resolveTimeout goes out for a group; one that went unanswered moves
 // the preference on to the next bootstrap server. Caller holds c.mu and
 // sends the Resolve after releasing it.
 func (c *Client) askLocked(g ids.GroupName, e cachedMembers, now time.Time) (ids.ProcessID, bool) {
-	if len(c.servers) == 0 || now.Sub(e.asked) < c.cfg.ResolveTimeout {
+	if len(c.servers) == 0 || now.Sub(e.asked) < resolveTimeout {
 		return 0, false
 	}
 	if e.at.Before(e.asked) && c.servers[c.pref] == e.askedOf {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hafw/internal/ids"
+	"hafw/internal/testutil"
 	"hafw/internal/transport/memnet"
 	"hafw/internal/vsync"
 	"hafw/internal/wire"
@@ -58,8 +59,7 @@ func TestResolveUnreachableServersTimesOut(t *testing.T) {
 	}
 	c, err := NewClient(ClientConfig{
 		Self: 1, Transport: ep,
-		Servers:        []ids.ProcessID{7, 8}, // nobody home
-		ResolveTimeout: 30 * time.Millisecond,
+		Servers: []ids.ProcessID{7, 8}, // nobody home
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestResolveUnreachableServersTimesOut(t *testing.T) {
 	if !errors.Is(err, ErrNoServers) {
 		t.Fatalf("err = %v", err)
 	}
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
+	if elapsed := time.Since(start); elapsed < 2*resolveTimeout {
 		t.Fatalf("gave up too fast (%v): must try each server", elapsed)
 	}
 }
@@ -89,7 +89,7 @@ func TestResolveCacheAndInvalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClient(ClientConfig{Self: 300, Transport: cep, Servers: h.pids, CacheTTL: time.Hour})
+	c, err := NewClient(ClientConfig{Self: 300, Transport: cep, Servers: h.pids, Clock: testutil.NewFrozenClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestResolveCacheAndInvalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Membership changes, but the (long-TTL) cache hides it.
+	// Membership changes, but the cache, which never ages, hides it.
 	if err := h.proc[2].Join(grpA); err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,7 @@ func TestSetServers(t *testing.T) {
 	}
 	c, err := NewClient(ClientConfig{
 		Self: 301, Transport: cep,
-		Servers:        []ids.ProcessID{99}, // bogus bootstrap
-		ResolveTimeout: 30 * time.Millisecond,
+		Servers: []ids.ProcessID{99}, // bogus bootstrap
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,15 +199,15 @@ func TestEmptyAnswerMovesOnAndIsNotCached(t *testing.T) {
 	defer net.Close()
 	rejoining := fakeServer(t, net, 1, nil)
 	settled := fakeServer(t, net, 2, []ids.ProcessID{2, 3})
-	c := newFakeClient(t, net, ClientConfig{Self: 1, Servers: []ids.ProcessID{1, 2}, ResolveTimeout: 2 * time.Second})
+	c := newFakeClient(t, net, ClientConfig{Self: 1, Servers: []ids.ProcessID{1, 2}})
 
 	start := time.Now()
 	m, err := c.Resolve("g")
 	if err != nil || !reflect.DeepEqual(m, []ids.ProcessID{2, 3}) {
 		t.Fatalf("Resolve = %v, %v; want the second server's answer", m, err)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("took %v: an empty answer must move on at once, not wait out ResolveTimeout", elapsed)
+	if elapsed := time.Since(start); elapsed >= resolveTimeout {
+		t.Fatalf("took %v: an empty answer must move on at once, not wait out resolveTimeout", elapsed)
 	}
 	// The server that answered is asked first from now on.
 	c.Invalidate("g")
@@ -235,8 +234,7 @@ func TestDeadBootstrapServerCostsOneTimeout(t *testing.T) {
 	net := memnet.New(memnet.Config{})
 	defer net.Close()
 	alive := fakeServer(t, net, 2, []ids.ProcessID{2})
-	const timeout = 80 * time.Millisecond
-	c := newFakeClient(t, net, ClientConfig{Self: 1, Servers: []ids.ProcessID{1, 2}, ResolveTimeout: timeout})
+	c := newFakeClient(t, net, ClientConfig{Self: 1, Servers: []ids.ProcessID{1, 2}})
 
 	start := time.Now()
 	for i := 0; i < 20; i++ {
@@ -245,8 +243,8 @@ func TestDeadBootstrapServerCostsOneTimeout(t *testing.T) {
 			t.Fatalf("Resolve(%s): %v", g, err)
 		}
 	}
-	if elapsed := time.Since(start); elapsed < timeout || elapsed > 2*timeout {
-		t.Fatalf("20 fresh groups took %v, want one %v timeout at the dead server in total", elapsed, timeout)
+	if elapsed := time.Since(start); elapsed < resolveTimeout || elapsed > 2*resolveTimeout {
+		t.Fatalf("20 fresh groups took %v, want one %v timeout at the dead server in total", elapsed, resolveTimeout)
 	}
 	if alive.Load() != 20 {
 		t.Fatalf("live server asked %d times, want 20", alive.Load())
@@ -258,10 +256,7 @@ func TestStaleEntryIsUsedAndRefreshedInBackground(t *testing.T) {
 	defer net.Close()
 	// The preferred server is dead; the other knows the group moved.
 	moved := fakeServer(t, net, 2, []ids.ProcessID{3})
-	const timeout = 30 * time.Millisecond
-	c := newFakeClient(t, net, ClientConfig{
-		Self: 1, Servers: []ids.ProcessID{1, 2}, ResolveTimeout: timeout, CacheTTL: 10 * time.Millisecond,
-	})
+	c := newFakeClient(t, net, ClientConfig{Self: 1, Servers: []ids.ProcessID{1, 2}})
 	c.Learn("g", []ids.ProcessID{2})
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -271,7 +266,7 @@ func TestStaleEntryIsUsedAndRefreshedInBackground(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := time.Since(start); d > timeout/2 {
+		if d := time.Since(start); d > resolveTimeout/2 {
 			t.Fatalf("Resolve of a known group took %v: it must never wait for a server", d)
 		}
 		if reflect.DeepEqual(m, []ids.ProcessID{3}) {
@@ -302,7 +297,7 @@ func TestObserveStrangerRequestsRefresh(t *testing.T) {
 	net := memnet.New(memnet.Config{})
 	defer net.Close()
 	srv := fakeServer(t, net, 1, []ids.ProcessID{3})
-	c := newFakeClient(t, net, ClientConfig{Self: 1, Servers: []ids.ProcessID{1}, CacheTTL: time.Hour})
+	c := newFakeClient(t, net, ClientConfig{Self: 1, Servers: []ids.ProcessID{1}, Clock: testutil.NewFrozenClock()})
 	c.Learn("g", []ids.ProcessID{2})
 
 	c.Observe("g", 2) // a member answered: nothing to learn

@@ -65,8 +65,6 @@ type Config struct {
 	// traffic (for example client requests addressed to this server, or on
 	// the client side, server responses).
 	OnDirect func(from ids.EndpointID, m wire.Message)
-	// OnProcessView, if set, observes installed process-level views.
-	OnProcessView func(membership.View)
 
 	// FDInterval/FDTimeout tune the failure detector (zero → 20ms/100ms).
 	FDInterval, FDTimeout time.Duration
@@ -116,7 +114,6 @@ func NewProcess(cfg Config) (*Process, error) {
 		Send:         p.tr,
 		Hooks:        p.node,
 		RoundTimeout: cfg.RoundTimeout,
-		OnView:       cfg.OnProcessView,
 		Clock:        cfg.Clock,
 	})
 	p.det = fd.New(fd.Config{

@@ -572,7 +572,7 @@ func TestClientResolveAfterCrashFollowsMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewClient(ClientConfig{Self: 101, Transport: cep, Servers: h.pids, CacheTTL: 30 * time.Millisecond})
+	client, err := NewClient(ClientConfig{Self: 101, Transport: cep, Servers: h.pids})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,15 +46,14 @@ type TCPConfig struct {
 	Addrs map[ids.EndpointID]string
 	// World lists the server process IDs (the a-priori service group).
 	World []ids.ProcessID
-	// BaseClientID numbers driver clients from here. Zero means 5000.
-	BaseClientID uint64
-	// ListenHost is the local host clients bind ephemeral ports on.
-	// Empty means 127.0.0.1.
-	ListenHost string
 }
 
+// baseClientID numbers driver clients from here.
+const baseClientID = 5000
+
 // TCPTarget drives an existing hanode deployment over real TCP. Each
-// driver client gets its own tcpnet transport on an ephemeral port.
+// driver client gets its own tcpnet transport on an ephemeral loopback
+// port.
 type TCPTarget struct {
 	cfg   TCPConfig
 	units []ids.UnitName
@@ -66,13 +65,7 @@ type TCPTarget struct {
 
 // NewTCPTarget probes the deployment for its content units.
 func NewTCPTarget(cfg TCPConfig) (*TCPTarget, error) {
-	if cfg.BaseClientID == 0 {
-		cfg.BaseClientID = 5000
-	}
-	if cfg.ListenHost == "" {
-		cfg.ListenHost = "127.0.0.1"
-	}
-	t := &TCPTarget{cfg: cfg, nextCID: ids.ClientID(cfg.BaseClientID)}
+	t := &TCPTarget{cfg: cfg, nextCID: baseClientID}
 	probe, err := t.NewClient(nil)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: probe client: %w", err)
@@ -102,7 +95,7 @@ func (t *TCPTarget) NewClient(onFrom func(from ids.EndpointID)) (*core.Client, e
 	t.mu.Unlock()
 	tr, err := tcpnet.New(tcpnet.Config{
 		Self:       ids.ClientEndpoint(cid),
-		ListenAddr: t.cfg.ListenHost + ":0",
+		ListenAddr: "127.0.0.1:0",
 		Peers:      t.cfg.Addrs,
 	})
 	if err != nil {

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"hafw/internal/clock"
-	"hafw/internal/fd"
 	"hafw/internal/ids"
 	"hafw/internal/wire"
 )
@@ -150,16 +149,9 @@ type Config struct {
 	Send Sender
 	// Hooks receives flush callbacks. Nil means NopHooks{}.
 	Hooks Hooks
-	// Detector supplies the reachable set. The owner must route inbound
-	// traffic to Detector.Observe and forward its OnChange to
-	// Service.ReachableChanged.
-	Detector *fd.Detector
 	// RoundTimeout bounds one propose/accept round before the coordinator
 	// retries with a fresh membership estimate. Zero means 150ms.
 	RoundTimeout time.Duration
-	// OnView, if set, observes every installed view after Hooks.Install
-	// returned. Called from the membership goroutine.
-	OnView func(v View)
 	// Clock is the time source for round deadlines and the retry ticker.
 	// Nil means the wall clock.
 	Clock clock.Clock
@@ -495,9 +487,6 @@ func (s *Service) handleCommit(c Commit) {
 		states[p] = b
 	}
 	s.hooks.Install(v, states)
-	if s.cfg.OnView != nil {
-		s.cfg.OnView(v)
-	}
 	s.kick()
 }
 

@@ -75,18 +75,13 @@ func (c *cluster) addNode(t *testing.T, pid ids.ProcessID, world []ids.ProcessID
 	n.svc = New(Config{
 		Self:         pid,
 		Send:         ep,
-		Detector:     n.det,
 		RoundTimeout: 100 * time.Millisecond * testutil.TimeScale,
 		Hooks: NopHooks{OnInstall: func(v View, states map[ids.ProcessID][]byte) {
 			n.mu.Lock()
 			defer n.mu.Unlock()
+			n.views = append(n.views, v)
 			n.installs = append(n.installs, states)
 		}},
-		OnView: func(v View) {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			n.views = append(n.views, v)
-		},
 	})
 	ep.SetHandler(func(env wire.Envelope) {
 		from, ok := env.From.Process()

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hafw/internal/metrics"
-	"hafw/internal/trace"
 	"hafw/internal/wire"
 )
 
@@ -233,14 +232,10 @@ func TestOpsServerEndpoints(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tr.StartRoot("filler").End() // overflow the ring to exercise drops
 	}
-	rec := trace.NewRecorderCapacity(1)
-	rec.Record(4, trace.KindUpdate, 1, "")
-	rec.Record(4, trace.KindUpdate, 1, "")
 
 	h := NewHandler(ServerConfig{
 		Registry: reg,
 		Tracer:   tr,
-		Recorder: rec,
 		Status: func() NodeStatus {
 			return NodeStatus{Node: 4, Units: []UnitStatus{{Unit: "u", Synced: true}}}
 		},
@@ -266,7 +261,6 @@ func TestOpsServerEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"hafw_updates_applied 5",
 		`hafw_trace_events_dropped{buffer="spans"}`,
-		`hafw_trace_events_dropped{buffer="events"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\n---\n%s", want, body)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"hafw/internal/metrics"
-	"hafw/internal/trace"
 )
 
 // ServerConfig wires a node's observability state into the ops HTTP
@@ -21,9 +20,6 @@ type ServerConfig struct {
 	Registry *metrics.Registry
 	// Tracer is the node's span ring (served by /debug/trace).
 	Tracer *Tracer
-	// Recorder is the node's event recorder, if it keeps one; only its
-	// drop count is exposed.
-	Recorder *trace.Recorder
 	// Status produces the node's current NodeStatus (served by /statusz).
 	Status func() NodeStatus
 	// Health reports nil when the node is serving (served by /healthz).
@@ -36,7 +32,6 @@ type handler struct {
 
 	mu          sync.Mutex
 	spanDropped uint64 // last value mirrored into the registry
-	evDropped   uint64
 }
 
 // NewHandler builds the ops http.Handler: /metrics, /statusz, /healthz,
@@ -56,8 +51,9 @@ func NewHandler(cfg ServerConfig) http.Handler {
 	return mux
 }
 
-// syncDropCounters mirrors ring-eviction counts into the registry's
-// trace_events_dropped counter family so they ride the normal exposition.
+// syncDropCounters mirrors the span ring's eviction count into the
+// registry's trace_events_dropped counter family so it rides the normal
+// exposition.
 func (h *handler) syncDropCounters() {
 	if h.cfg.Registry == nil {
 		return
@@ -67,12 +63,6 @@ func (h *handler) syncDropCounters() {
 	if d := h.cfg.Tracer.Dropped(); d > h.spanDropped {
 		h.cfg.Registry.Counter(`trace_events_dropped{buffer="spans"}`).Add(d - h.spanDropped)
 		h.spanDropped = d
-	}
-	if h.cfg.Recorder != nil {
-		if d := h.cfg.Recorder.Dropped(); d > h.evDropped {
-			h.cfg.Registry.Counter(`trace_events_dropped{buffer="events"}`).Add(d - h.evDropped)
-			h.evDropped = d
-		}
 	}
 }
 

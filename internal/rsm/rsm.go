@@ -96,7 +96,8 @@ type Replica struct {
 	nextNonce uint64
 	// members is the latest group view.
 	members []ids.ProcessID
-	// submitTimeout bounds Submit.
+	// submitTimeout bounds Submit: the submitTimeout constant, which tests
+	// shorten.
 	submitTimeout time.Duration
 }
 
@@ -116,17 +117,15 @@ type Config struct {
 	// Bootstrapped marks founding members (their empty state *is* the
 	// initial state). Leave false for joiners, which wait for a snapshot.
 	Bootstrapped bool
-	// SubmitTimeout bounds Submit; zero means 2s.
-	SubmitTimeout time.Duration
 }
+
+// submitTimeout bounds Submit.
+const submitTimeout = 5 * time.Second
 
 // New creates a replica.
 func New(cfg Config) (*Replica, error) {
 	if cfg.Group == "" || cfg.Machine == nil || cfg.Proc == nil {
 		return nil, errors.New("rsm: Group, Machine, and Proc are required")
-	}
-	if cfg.SubmitTimeout == 0 {
-		cfg.SubmitTimeout = 2 * time.Second
 	}
 	return &Replica{
 		group:         cfg.Group,
@@ -134,7 +133,7 @@ func New(cfg Config) (*Replica, error) {
 		g:             cfg.Proc,
 		bootstrapped:  cfg.Bootstrapped,
 		waiters:       make(map[uint64]chan wire.Message),
-		submitTimeout: cfg.SubmitTimeout,
+		submitTimeout: submitTimeout,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package vod
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -262,30 +263,39 @@ func (h *playerHarness) Send(body wire.Message) error {
 }
 
 func TestStreamPlayerPlaysToEOF(t *testing.T) {
-	store := media.Synthesize(streamSpec())
-	svc := NewStream(store, nil)
-	ss := svc.NewSession("u", 1, 1).(*streamSession)
-	defer ss.Close()
+	// Every window tops up its pipeline before it drains: a clean run never
+	// falls back to the timeout re-pull.
+	for _, window := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("window%d", window), func(t *testing.T) {
+			store := media.Synthesize(streamSpec())
+			svc := NewStream(store, nil)
+			ss := svc.NewSession("u", 1, 1).(*streamSession)
+			defer ss.Close()
 
-	player := NewStreamPlayer(StreamPlayerConfig{
-		Window: 8, Speed: 100, PullTimeout: 100 * time.Millisecond,
-	})
-	ss.Activate(newStreamResponder(func(b wire.Message) { player.Handler(0, b) }))
+			player := NewStreamPlayer(StreamPlayerConfig{
+				Window: window, Speed: 100, PullTimeout: 100 * time.Millisecond,
+			})
+			ss.Activate(newStreamResponder(func(b wire.Message) { player.Handler(0, b) }))
 
-	stats, err := player.Run(&playerHarness{replicas: []*streamSession{ss}}, 10*time.Second)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	man := svc.Manifest()
-	if !stats.Completed {
-		t.Fatalf("playback incomplete: %+v", stats)
-	}
-	if stats.Chunks != man.TotalChunks() || stats.Bytes != man.TotalBytes() {
-		t.Errorf("consumed %d chunks / %d bytes, want %d / %d",
-			stats.Chunks, stats.Bytes, man.TotalChunks(), man.TotalBytes())
-	}
-	if stats.CRCErrors != 0 || stats.Duplicates != 0 {
-		t.Errorf("clean run saw %d CRC errors, %d duplicates", stats.CRCErrors, stats.Duplicates)
+			stats, err := player.Run(&playerHarness{replicas: []*streamSession{ss}}, 10*time.Second)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			man := svc.Manifest()
+			if !stats.Completed {
+				t.Fatalf("playback incomplete: %+v", stats)
+			}
+			if stats.Chunks != man.TotalChunks() || stats.Bytes != man.TotalBytes() {
+				t.Errorf("consumed %d chunks / %d bytes, want %d / %d",
+					stats.Chunks, stats.Bytes, man.TotalChunks(), man.TotalBytes())
+			}
+			if stats.CRCErrors != 0 || stats.Duplicates != 0 {
+				t.Errorf("clean run saw %d CRC errors, %d duplicates", stats.CRCErrors, stats.Duplicates)
+			}
+			if stats.Repulls != 0 {
+				t.Errorf("clean run re-pulled %d times after a timeout", stats.Repulls)
+			}
+		})
 	}
 }
 

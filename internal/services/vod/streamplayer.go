@@ -18,11 +18,10 @@ type ChunkSender interface {
 
 // StreamPlayerConfig tunes a StreamPlayer.
 type StreamPlayerConfig struct {
-	// Window is the pull window in chunks. Zero means 16.
+	// Window is the pull window in chunks. Zero means 16. The player
+	// pulls again once fewer than half a window (at least one chunk) are
+	// outstanding.
 	Window int
-	// LowWater re-pulls when fewer chunks than this are outstanding.
-	// Zero means Window/2.
-	LowWater int
 	// Speed is the playback-speed multiplier (2 consumes media twice as
 	// fast as real time). Zero means 1.
 	Speed float64
@@ -71,6 +70,10 @@ type StreamStats struct {
 // stream plane and the measurement probe of the streaming experiments.
 type StreamPlayer struct {
 	cfg StreamPlayerConfig
+	// lowWater is the outstanding-chunk count below which the pipeline is
+	// topped up: half the window, and at least one, or a window of one
+	// would wait out PullTimeout for every chunk.
+	lowWater int
 
 	stallHist  *metrics.Histogram
 	bufGauge   *metrics.Gauge
@@ -94,9 +97,6 @@ func NewStreamPlayer(cfg StreamPlayerConfig) *StreamPlayer {
 	if cfg.Window > MaxWindow {
 		cfg.Window = MaxWindow
 	}
-	if cfg.LowWater <= 0 {
-		cfg.LowWater = cfg.Window / 2
-	}
 	if cfg.Speed <= 0 {
 		cfg.Speed = 1
 	}
@@ -105,6 +105,7 @@ func NewStreamPlayer(cfg StreamPlayerConfig) *StreamPlayer {
 	}
 	p := &StreamPlayer{
 		cfg:      cfg,
+		lowWater: max(1, cfg.Window/2),
 		buffered: make(map[media.Pos]media.Chunk),
 		notify:   make(chan struct{}, 1),
 	}
@@ -248,7 +249,7 @@ func (p *StreamPlayer) Run(sess ChunkSender, maxWall time.Duration) (StreamStats
 			// Pace playback: this chunk takes len/bitrate media-seconds.
 			played += time.Duration(float64(len(c.Data)) * float64(time.Second) / float64(bitrate) / p.cfg.Speed)
 			// Top up the pipeline before sleeping off the playback debt.
-			if man.Index(reqUpTo)-man.Index(p.front()) < p.cfg.LowWater && reqUpTo != end {
+			if man.Index(reqUpTo)-man.Index(p.front()) < p.lowWater && reqUpTo != end {
 				pull(reqUpTo, false)
 			}
 			if wait := played - p.stallFreeElapsed(start); wait > 0 {

@@ -29,6 +29,11 @@ const (
 	simCallRetries  = 5
 )
 
+// simTail is the chaos-free recovery window at the end of a run, during
+// which all servers are revived, the network heals, and the final
+// durability audit runs. A run spends at most half its time in it.
+const simTail = 90 * time.Second
+
 // Config parameterizes one simulated cluster run.
 type Config struct {
 	// Seed drives every random choice of the run: chaos expansion, network
@@ -56,17 +61,15 @@ type Config struct {
 	UpdateEvery time.Duration
 	// SampleEvery is the invariant sampler's period. Zero selects 1s.
 	SampleEvery time.Duration
-	// Tail is the chaos-free recovery window at the end of the run, during
-	// which all servers are revived, the network heals, and the final
-	// durability audit runs. Zero selects 90s (clamped to Virtual/2).
-	Tail time.Duration
-	// FDInterval, FDTimeout, RoundTimeout, and AckInterval override the
-	// cluster's protocol timescales; zero selects the sim defaults (2s,
-	// 10s, 4s, 2s). Heartbeat traffic is quadratic in Nodes, so large
-	// simulations stretch FDInterval/FDTimeout the way production
-	// deployments do.
-	FDInterval, FDTimeout, RoundTimeout, AckInterval time.Duration
+	// FDInterval, FDTimeout, and AckInterval override the cluster's
+	// protocol timescales; zero selects the sim defaults (2s, 10s, 2s).
+	// Heartbeat traffic is quadratic in Nodes, so large simulations
+	// stretch FDInterval/FDTimeout the way production deployments do.
+	FDInterval, FDTimeout, AckInterval time.Duration
 }
+
+// tail is the run's recovery window: simTail, clamped to Virtual/2.
+func (cfg Config) tail() time.Duration { return min(simTail, cfg.Virtual/2) }
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Seed == 0 {
@@ -93,20 +96,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = time.Second
 	}
-	if cfg.Tail <= 0 {
-		cfg.Tail = 90 * time.Second
-	}
-	if cfg.Tail > cfg.Virtual/2 {
-		cfg.Tail = cfg.Virtual / 2
-	}
 	if cfg.FDInterval <= 0 {
 		cfg.FDInterval = simFDInterval
 	}
 	if cfg.FDTimeout <= 0 {
 		cfg.FDTimeout = simFDTimeout
-	}
-	if cfg.RoundTimeout <= 0 {
-		cfg.RoundTimeout = simRoundTimeout
 	}
 	if cfg.AckInterval <= 0 {
 		cfg.AckInterval = simAckInterval
@@ -175,7 +169,7 @@ type Cluster struct {
 // the anomaly episode while every server still reports the old stable
 // state.
 func (c *Cluster) minConvergeDelay() time.Duration {
-	return c.cfg.FDTimeout + c.cfg.RoundTimeout
+	return c.cfg.FDTimeout + simRoundTimeout
 }
 
 // ivl is one half-open fault episode; end is meaningful once closed.
@@ -416,13 +410,19 @@ func (c *Cluster) exposedLocked(from, to time.Duration) bool {
 // invariants throughout and at the end.
 func Run(cfg Config, sched *Schedule) (*Report, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	events := sched.Expand(rng, cfg.Nodes, cfg.Virtual-cfg.Tail)
-	report, err := RunEvents(cfg, events)
+	report, err := RunEvents(cfg, Expand(cfg, sched))
 	if report != nil {
 		report.Risk = RiskFor(cfg, sched)
 	}
 	return report, err
+}
+
+// Expand derives the concrete event list a run of cfg injects: the
+// schedule expanded with the seeded PRNG up to the recovery tail. Both are
+// deterministic, so the list matches the run exactly.
+func Expand(cfg Config, sched *Schedule) []Event {
+	cfg = cfg.withDefaults()
+	return sched.Expand(rand.New(rand.NewSource(cfg.Seed)), cfg.Nodes, cfg.Virtual-cfg.tail())
 }
 
 // RunEvents executes a scenario from an already-expanded event list (the
@@ -494,7 +494,7 @@ func (c *Cluster) startServer(n *node) error {
 		}},
 		FDInterval:   c.cfg.FDInterval,
 		FDTimeout:    c.cfg.FDTimeout,
-		RoundTimeout: c.cfg.RoundTimeout,
+		RoundTimeout: simRoundTimeout,
 		AckInterval:  c.cfg.AckInterval,
 		Clock:        n.clk,
 	}
@@ -611,7 +611,7 @@ func (c *Cluster) run(events []Event) (*Report, error) {
 	}
 	// End of chaos: heal the network, revive everything, let the cluster
 	// converge during the tail so the final audit judges steady state.
-	quiet := c.cfg.Virtual - c.cfg.Tail
+	quiet := c.cfg.Virtual - c.cfg.tail()
 	c.base.AfterFunc(quiet, func() {
 		c.apply(Event{Kind: KindHeal})
 		for _, pid := range c.world {
@@ -621,7 +621,7 @@ func (c *Cluster) run(events []Event) (*Report, error) {
 	})
 	// Workload stop: half a tail before the horizon, leaving the clients
 	// time to run their final durability probes in virtual time.
-	c.base.AfterFunc(c.cfg.Virtual-c.cfg.Tail/2, func() {
+	c.base.AfterFunc(c.cfg.Virtual-c.cfg.tail()/2, func() {
 		c.stopOnce.Do(func() { close(c.stopC) })
 	})
 	c.inv.start()

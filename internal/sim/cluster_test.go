@@ -203,7 +203,7 @@ func TestFastRestartOfPrimaryLosesNothing(t *testing.T) {
 func TestExpandIsDeterministic(t *testing.T) {
 	sched := healthySchedule()
 	cfg := Config{Seed: 42, Nodes: 50, Virtual: 5 * time.Minute}.withDefaults()
-	horizon := cfg.Virtual - cfg.Tail
+	horizon := cfg.Virtual - cfg.tail()
 	base := Trace(cfg, sched.Expand(rand.New(rand.NewSource(cfg.Seed)), cfg.Nodes, horizon))
 	for i := 0; i < 50; i++ {
 		got := Trace(cfg, sched.Expand(rand.New(rand.NewSource(cfg.Seed)), cfg.Nodes, horizon))
@@ -226,7 +226,7 @@ func TestRunReplaysDeterministically(t *testing.T) {
 	}}
 	run := func() ([]byte, bool) {
 		c := cfg.withDefaults()
-		events := sched.Expand(rand.New(rand.NewSource(c.Seed)), c.Nodes, c.Virtual-c.Tail)
+		events := Expand(c, sched)
 		rep, err := RunEvents(c, events)
 		if err != nil {
 			t.Fatal(err)

@@ -37,7 +37,7 @@ import (
 type Policy int
 
 const (
-	// FsyncInterval syncs on a timer (Options.Interval); the default.
+	// FsyncInterval syncs every 100 ms; the default.
 	FsyncInterval Policy = iota
 	// FsyncAlways syncs after every append.
 	FsyncAlways
@@ -71,6 +71,13 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("store: unknown fsync policy %q (want always, interval, or never)", s)
 }
 
+const (
+	// syncInterval is the FsyncInterval timer period.
+	syncInterval = 100 * time.Millisecond
+	// segmentLimit rotates the active segment past this size.
+	segmentLimit = 4 << 20
+)
+
 // Options configures a store.
 type Options struct {
 	// Dir is the store directory (created if missing).
@@ -79,11 +86,6 @@ type Options struct {
 	Unit ids.UnitName
 	// Policy is the fsync policy; zero value is FsyncInterval.
 	Policy Policy
-	// Interval is the FsyncInterval timer period. Zero means 100ms.
-	Interval time.Duration
-	// SegmentBytes rotates the active segment past this size. Zero means
-	// 4 MiB.
-	SegmentBytes int64
 	// Metrics, when non-nil, receives store telemetry (wal_fsync_seconds,
 	// wal_fsyncs_total).
 	Metrics *metrics.Registry
@@ -99,6 +101,7 @@ type Store struct {
 	bw       *bufio.Writer
 	seg      uint64 // active segment index
 	segBytes int64  // bytes appended to the active segment
+	segLimit int64  // rotation size: segmentLimit, which tests lower
 	appends  uint64 // records appended since the last checkpoint
 	closed   bool
 
@@ -110,12 +113,6 @@ type Store struct {
 // alongside a store positioned to append. A torn tail (crash mid-write)
 // is truncated so the log continues from the last valid record.
 func Open(opts Options) (*Store, *unitdb.DB, RecoverStats, error) {
-	if opts.Interval == 0 {
-		opts.Interval = 100 * time.Millisecond
-	}
-	if opts.SegmentBytes == 0 {
-		opts.SegmentBytes = 4 << 20
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, RecoverStats{}, fmt.Errorf("store: open: %w", err)
 	}
@@ -138,7 +135,7 @@ func Open(opts Options) (*Store, *unitdb.DB, RecoverStats, error) {
 		}
 	}
 
-	s := &Store{opts: opts, stop: make(chan struct{}), done: make(chan struct{})}
+	s := &Store{opts: opts, segLimit: segmentLimit, stop: make(chan struct{}), done: make(chan struct{})}
 
 	// Continue the highest existing segment, or start fresh.
 	st, err := listDir(opts.Dir)
@@ -190,7 +187,7 @@ func (s *Store) Append(rec Record) error {
 	if s.closed {
 		return fmt.Errorf("store: append on closed store")
 	}
-	if s.segBytes >= s.opts.SegmentBytes {
+	if s.segBytes >= s.segLimit {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
@@ -311,7 +308,7 @@ func (s *Store) syncLoop() {
 		<-s.stop
 		return
 	}
-	ticker := time.NewTicker(s.opts.Interval)
+	ticker := time.NewTicker(syncInterval)
 	defer ticker.Stop()
 	for {
 		select {

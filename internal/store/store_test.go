@@ -119,7 +119,8 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, _, _ := openT(t, dir, Options{Policy: FsyncNever, SegmentBytes: 256})
+	s, _, _ := openT(t, dir, Options{Policy: FsyncNever})
+	s.segLimit = 256
 	for i := 1; i <= 40; i++ {
 		logSession(t, s, ids.SessionID(i), 1)
 	}
@@ -259,7 +260,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 
 func TestFsyncIntervalFlushes(t *testing.T) {
 	dir := t.TempDir()
-	s, _, _ := openT(t, dir, Options{Policy: FsyncInterval, Interval: 10 * time.Millisecond})
+	s, _, _ := openT(t, dir, Options{Policy: FsyncInterval})
 	logSession(t, s, 1, 1)
 	// Without closing, the background syncer must flush within a few
 	// intervals; poll the recovered view.

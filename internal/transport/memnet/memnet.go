@@ -29,6 +29,13 @@ import (
 	"hafw/internal/wire"
 )
 
+// queueBytes is the per-endpoint delivery queue byte budget. Chunk traffic
+// makes envelope counts a poor congestion proxy — a few megabyte frames
+// occupy what thousands of control messages would — so queues are also
+// bounded by encoded bytes. Messages past the budget are dropped and
+// counted in DroppedQueue.
+const queueBytes = 64 << 20
+
 // Config parameterizes a Network.
 type Config struct {
 	// Latency is the base one-way delivery latency. Zero means immediate
@@ -45,17 +52,6 @@ type Config struct {
 	// full further messages to that endpoint are dropped (and counted), as
 	// a congested host would. Zero selects a generous default.
 	QueueLen int
-	// QueueBytes is the per-endpoint delivery queue byte budget. Chunk
-	// traffic makes envelope counts a poor congestion proxy — a few
-	// megabyte frames occupy what thousands of control messages would — so
-	// queues are also bounded by encoded bytes. Messages past the budget
-	// are dropped and counted in DroppedQueue. Zero selects 64 MiB.
-	QueueBytes int
-	// MaxFrame caps the encoded size a single Send will accept, for parity
-	// with tcpnet's frame limit: oversize messages fail with an error
-	// wrapping wire.ErrFrameTooLarge instead of silently working in-memory
-	// and failing on a real network. Zero selects wire.MaxFrame.
-	MaxFrame int
 	// Clock schedules delayed deliveries. Nil means the wall clock; the
 	// simulator injects its virtual clock so latency and jitter elapse in
 	// virtual time.
@@ -97,6 +93,9 @@ func normLink(a, b ids.EndpointID) linkKey {
 type Network struct {
 	cfg Config
 	clk clock.Clock
+	// queueBytes is the per-endpoint byte budget: the queueBytes constant,
+	// which tests lower to reach it with a few messages.
+	queueBytes int
 
 	mu        sync.Mutex
 	rng       *rand.Rand
@@ -115,19 +114,14 @@ func New(cfg Config) *Network {
 	if cfg.QueueLen == 0 {
 		cfg.QueueLen = 4096
 	}
-	if cfg.QueueBytes == 0 {
-		cfg.QueueBytes = 64 << 20
-	}
-	if cfg.MaxFrame <= 0 || cfg.MaxFrame > wire.MaxFrame {
-		cfg.MaxFrame = wire.MaxFrame
-	}
 	return &Network{
-		cfg:       cfg,
-		clk:       clock.OrReal(cfg.Clock),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		endpoints: make(map[ids.EndpointID]*Endpoint),
-		cut:       make(map[linkKey]bool),
-		crashed:   make(map[ids.EndpointID]bool),
+		cfg:        cfg,
+		clk:        clock.OrReal(cfg.Clock),
+		queueBytes: queueBytes,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		endpoints:  make(map[ids.EndpointID]*Endpoint),
+		cut:        make(map[linkKey]bool),
+		crashed:    make(map[ids.EndpointID]bool),
 	}
 }
 
@@ -315,7 +309,7 @@ func (n *Network) deliver(env Envelope) {
 	}
 	// Reserve the bytes before enqueueing so concurrent delivers cannot
 	// collectively overshoot the budget. queuedBytes is guarded by n.mu.
-	if dst.queuedBytes+env.size > n.cfg.QueueBytes {
+	if dst.queuedBytes+env.size > n.queueBytes {
 		n.stats.DroppedQueue++
 		n.mu.Unlock()
 		return
@@ -437,8 +431,9 @@ func (e *Endpoint) SetHandler(h transport.Handler) {
 // memory and unencodable payloads fail loudly here rather than silently
 // differing between memnet and tcpnet. Only the decoded clone plus the
 // encoded size travel through the network. Messages whose encoded size
-// exceeds Config.MaxFrame fail with an error wrapping wire.ErrFrameTooLarge,
-// exactly as tcpnet's frames do.
+// exceeds wire.MaxFrame fail with an error wrapping wire.ErrFrameTooLarge,
+// exactly as tcpnet's frames do, instead of silently working in-memory and
+// failing on a real network.
 func (e *Endpoint) Send(to ids.EndpointID, m wire.Message) error {
 	e.mu.Lock()
 	closed := e.closed
@@ -450,9 +445,9 @@ func (e *Endpoint) Send(to ids.EndpointID, m wire.Message) error {
 	if err != nil {
 		return fmt.Errorf("memnet: payload does not survive codec round-trip: %w", err)
 	}
-	if size > e.net.cfg.MaxFrame {
+	if size > wire.MaxFrame {
 		return fmt.Errorf("memnet: encoded %s of %d bytes exceeds max frame %d: %w",
-			m.WireName(), size, e.net.cfg.MaxFrame, wire.ErrFrameTooLarge)
+			m.WireName(), size, wire.MaxFrame, wire.ErrFrameTooLarge)
 	}
 	e.countSend(m.WireName(), size)
 	e.net.send(Envelope{env: env, size: size})

@@ -427,14 +427,14 @@ func TestLargeChunkDelivery(t *testing.T) {
 }
 
 // TestMaxFrameRejected pins the tcpnet-parity contract: an encoded message
-// past Config.MaxFrame fails at Send with wire.ErrFrameTooLarge and never
+// past wire.MaxFrame fails at Send with wire.ErrFrameTooLarge and never
 // enters the network.
 func TestMaxFrameRejected(t *testing.T) {
-	n := New(Config{MaxFrame: 1024})
+	n := New(Config{})
 	defer n.Close()
 	a, b, _, _ := pair(t, n)
 
-	err := a.Send(b.Self(), ping{N: 1, Data: make([]byte, 4096)})
+	err := a.Send(b.Self(), ping{N: 1, Data: make([]byte, wire.MaxFrame)})
 	if !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Fatalf("Send oversize = %v, want wire.ErrFrameTooLarge", err)
 	}
@@ -451,7 +451,8 @@ func TestMaxFrameRejected(t *testing.T) {
 // receiver's handler blocked, large messages past the budget are dropped
 // and counted, and the budget frees as messages drain.
 func TestQueueByteBudget(t *testing.T) {
-	n := New(Config{QueueBytes: 64 << 10})
+	n := New(Config{})
+	n.queueBytes = 64 << 10
 	defer n.Close()
 	a, err := n.Attach(ids.ProcessEndpoint(1))
 	if err != nil {

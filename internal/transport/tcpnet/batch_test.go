@@ -122,8 +122,7 @@ func newSender(t *testing.T, cfg Config) *Transport {
 // queued bulk and of bulk enqueued after it.
 func TestControlJumpsFullBulkWindow(t *testing.T) {
 	reg := metrics.NewRegistry()
-	a := newSender(t, Config{Self: ids.ProcessEndpoint(51), SendWindow: 256 << 10,
-		BulkThreshold: 32 << 10, Metrics: reg})
+	a := newSender(t, Config{Self: ids.ProcessEndpoint(51), Metrics: reg})
 	to := ids.ProcessEndpoint(52)
 	c := newFakeConn(0)
 	pc := attach(a, to, c)
@@ -132,7 +131,7 @@ func TestControlJumpsFullBulkWindow(t *testing.T) {
 			t.Errorf("Send %+v: %v", m, err)
 		}
 	}
-	payload := make([]byte, 64<<10)
+	payload := make([]byte, sendWindow/4)
 
 	send(blob{Seq: 1, Data: payload})
 	<-c.entered // the writer holds blob 1 in a write
@@ -140,10 +139,10 @@ func TestControlJumpsFullBulkWindow(t *testing.T) {
 		send(blob{Seq: i, Data: payload})
 	}
 	pc.mu.Lock()
-	full := pc.bulkBytes+len(payload) > a.cfg.SendWindow
+	full := pc.bulkBytes+len(payload) > sendWindow
 	pc.mu.Unlock()
 	if !full {
-		t.Fatal("three queued 64 KiB blobs should fill a 256 KiB window")
+		t.Fatal("three queued blobs of a quarter window should fill the window")
 	}
 	send(note{N: 1})
 	sent := make(chan struct{})
@@ -186,7 +185,7 @@ func TestWriteErrorReleasesBatchOnce(t *testing.T) {
 	}
 	t.Cleanup(func() { release = (*wire.Frame).Release })
 
-	a := newSender(t, Config{Self: ids.ProcessEndpoint(61), BulkThreshold: 32 << 10})
+	a := newSender(t, Config{Self: ids.ProcessEndpoint(61)})
 	to := ids.ProcessEndpoint(62)
 	const failAt = 1000 // past the small frames, inside the first blob
 	c := newFakeConn(failAt)
@@ -198,7 +197,7 @@ func TestWriteErrorReleasesBatchOnce(t *testing.T) {
 		}
 		sends++
 	}
-	payload := make([]byte, 64<<10)
+	payload := make([]byte, bulkThreshold)
 
 	send(note{N: 0})
 	<-c.entered

@@ -11,9 +11,9 @@
 //
 // Writes go through a per-connection writer goroutine with two queues:
 // control (small frames — heartbeats, view changes, acks) and bulk (chunk
-// data and other frames at or above BulkThreshold). Control frames always
+// data and other frames of 64 KiB or more). Control frames always
 // jump ahead of queued bulk, so a multi-MB chunk burst cannot starve
-// failure detection; bulk enqueueing blocks once SendWindow bytes are
+// failure detection; bulk enqueueing blocks once 8 MiB of bulk is
 // queued, pushing backpressure into the producer instead of ballooning
 // memory. Each wake-up of the writer sends one batch in one vectored
 // write (net.Buffers, writev on a socket): every queued control frame,
@@ -39,6 +39,19 @@ import (
 	"hafw/internal/wire"
 )
 
+const (
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 2 * time.Second
+	// writeTimeout bounds each batch write.
+	writeTimeout = 2 * time.Second
+	// sendWindow bounds the bytes of bulk frames queued per connection
+	// before Send blocks (backpressure).
+	sendWindow = 8 << 20
+	// bulkThreshold classifies frames: encoded sizes at or above it queue
+	// behind control traffic and count against sendWindow.
+	bulkThreshold = 64 << 10
+)
+
 // Config parameterizes a TCP transport endpoint.
 type Config struct {
 	// Self is the identity this endpoint speaks for.
@@ -51,21 +64,6 @@ type Config struct {
 	// Peers maps endpoint identities to dialable addresses. More peers can
 	// be added later with AddPeer.
 	Peers map[ids.EndpointID]string
-	// DialTimeout bounds connection establishment. Zero means 2s.
-	DialTimeout time.Duration
-	// WriteTimeout bounds each batch write. Zero means 2s.
-	WriteTimeout time.Duration
-	// MaxFrame bounds accepted frame sizes on decode; a length prefix
-	// above it is treated as stream corruption and drops the connection
-	// (wire.ErrFrameTooLarge). Zero means wire.MaxFrame.
-	MaxFrame int
-	// SendWindow bounds the bytes of bulk frames queued per connection
-	// before Send blocks (backpressure). Zero means 8 MiB.
-	SendWindow int
-	// BulkThreshold classifies frames: encoded sizes at or above it queue
-	// behind control traffic and count against SendWindow. Zero means
-	// 64 KiB.
-	BulkThreshold int
 	// Metrics, when non-nil, records per-message-type send/recv counts and
 	// bytes (transport_send_total and friends), and the vectored writes
 	// and the frames they carried (transport_writes_total,
@@ -105,21 +103,6 @@ var _ transport.Transport = (*Transport)(nil)
 func New(cfg Config) (*Transport, error) {
 	if cfg.Self.IsZero() {
 		return nil, errors.New("tcpnet: Config.Self is required")
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 2 * time.Second
-	}
-	if cfg.MaxFrame <= 0 || cfg.MaxFrame > wire.MaxFrame {
-		cfg.MaxFrame = wire.MaxFrame
-	}
-	if cfg.SendWindow <= 0 {
-		cfg.SendWindow = 8 << 20
-	}
-	if cfg.BulkThreshold <= 0 {
-		cfg.BulkThreshold = 64 << 10
 	}
 	t := &Transport{
 		cfg:        cfg,
@@ -192,7 +175,7 @@ func (t *Transport) SetHandler(h transport.Handler) {
 // or more in m are written from where m holds them, after Send returns:
 // the caller must not modify them.
 func (t *Transport) Send(to ids.EndpointID, m wire.Message) error {
-	f, err := wire.EncodeFrame(wire.Envelope{From: t.cfg.Self, To: to, Payload: m}, t.cfg.MaxFrame)
+	f, err := wire.EncodeFrame(wire.Envelope{From: t.cfg.Self, To: to, Payload: m}, wire.MaxFrame)
 	if err != nil {
 		return fmt.Errorf("tcpnet: %w", err)
 	}
@@ -219,7 +202,7 @@ func (t *Transport) Send(to ids.EndpointID, m wire.Message) error {
 		return nil
 	}
 	if pc == nil {
-		c, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+		c, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err != nil {
 			release(f)
 			return nil // best-effort: peer unreachable is not a Send error
@@ -257,7 +240,7 @@ var release = (*wire.Frame).Release
 
 // isBulk classifies an encoded frame by its payload size.
 func (t *Transport) isBulk(frame *wire.Frame) bool {
-	return frame.Len()-wire.FrameHeader >= t.cfg.BulkThreshold
+	return frame.Len()-wire.FrameHeader >= bulkThreshold
 }
 
 // count records one envelope in the per-message-type transport counters.
@@ -366,7 +349,7 @@ func (t *Transport) readLoop(pc *peerConn) {
 		if closed {
 			return
 		}
-		data, err := wire.ReadFrameInto(r, buf, t.cfg.MaxFrame)
+		data, err := wire.ReadFrameInto(r, buf, wire.MaxFrame)
 		if err != nil {
 			if errors.Is(err, wire.ErrFrameTooLarge) && t.oversize != nil {
 				// Corrupt or hostile length prefix: the stream cannot be
@@ -408,7 +391,7 @@ type peerConn struct {
 	// control and bulk queue encoded frames awaiting the writer; entries
 	// are pooled frames owned by the queue until written.
 	control, bulk []*wire.Frame
-	// bulkBytes is the queued bulk payload, bounded by SendWindow.
+	// bulkBytes is the queued bulk payload, bounded by sendWindow.
 	bulkBytes int
 	closed    bool
 }
@@ -419,7 +402,7 @@ func (pc *peerConn) enqueue(f *wire.Frame, isBulk bool) {
 	pc.mu.Lock()
 	if isBulk {
 		waited := false
-		for !pc.closed && pc.bulkBytes+f.Len() > pc.t.cfg.SendWindow && pc.bulkBytes > 0 {
+		for !pc.closed && pc.bulkBytes+f.Len() > sendWindow && pc.bulkBytes > 0 {
 			if !waited {
 				waited = true
 				if pc.t.backpressure != nil {
@@ -470,7 +453,7 @@ func (pc *peerConn) writer() {
 			vecs = f.AppendTo(vecs)
 		}
 		pending = vecs
-		_ = pc.conn.SetWriteDeadline(time.Now().Add(pc.t.cfg.WriteTimeout))
+		_ = pc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		_, err := pending.WriteTo(pc.conn)
 		if pc.t.writes != nil {
 			pc.t.writes.Inc()

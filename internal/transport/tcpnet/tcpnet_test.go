@@ -320,14 +320,12 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 // a receiver drops the connection on an oversized length prefix.
 func TestOversizeFrameRejected(t *testing.T) {
 	reg := metrics.NewRegistry()
-	a, err := New(Config{Self: ids.ProcessEndpoint(31), ListenAddr: "127.0.0.1:0",
-		MaxFrame: 256 << 10, Metrics: reg})
+	a, err := New(Config{Self: ids.ProcessEndpoint(31), ListenAddr: "127.0.0.1:0", Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = a.Close() })
-	b, err := New(Config{Self: ids.ProcessEndpoint(32), ListenAddr: "127.0.0.1:0",
-		MaxFrame: 256 << 10})
+	b, err := New(Config{Self: ids.ProcessEndpoint(32), ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +334,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 	sb := &sink{}
 	b.SetHandler(sb.handler)
 
-	if err := a.Send(b.Self(), blob{Data: make([]byte, 1<<20)}); !errors.Is(err, wire.ErrFrameTooLarge) {
+	if err := a.Send(b.Self(), blob{Data: make([]byte, wire.MaxFrame)}); !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Fatalf("oversized Send err = %v, want ErrFrameTooLarge", err)
 	}
 
@@ -360,14 +358,12 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}
 }
 
-// TestBulkBackpressureBounded checks the send window: with a tiny window
-// and a receiver that drains slowly, queued bulk bytes stay bounded and
-// every frame still arrives.
+// TestBulkBackpressureBounded checks the send window: with more than three
+// windows of bulk frames sent at once and a receiver that drains slowly,
+// queued bulk bytes stay bounded and every frame still arrives.
 func TestBulkBackpressureBounded(t *testing.T) {
 	reg := metrics.NewRegistry()
-	a, err := New(Config{Self: ids.ProcessEndpoint(41), ListenAddr: "127.0.0.1:0",
-		SendWindow: 256 << 10, BulkThreshold: 32 << 10, Metrics: reg,
-		WriteTimeout: 10 * time.Second})
+	a, err := New(Config{Self: ids.ProcessEndpoint(41), ListenAddr: "127.0.0.1:0", Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +382,7 @@ func TestBulkBackpressureBounded(t *testing.T) {
 	b.SetHandler(slow)
 
 	const frames = 30
-	payload := make([]byte, 128<<10)
+	payload := make([]byte, 1<<20)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -395,7 +391,7 @@ func TestBulkBackpressureBounded(t *testing.T) {
 				t.Errorf("Send %d: %v", i, err)
 				return
 			}
-			// The window fits two frames; queued bulk must never exceed it.
+			// The window fits eight frames; queued bulk must never exceed it.
 			a.mu.Lock()
 			pc := a.conns[b.Self()]
 			a.mu.Unlock()
@@ -403,7 +399,7 @@ func TestBulkBackpressureBounded(t *testing.T) {
 				pc.mu.Lock()
 				queued := pc.bulkBytes
 				pc.mu.Unlock()
-				if queued > 256<<10 {
+				if queued > sendWindow {
 					t.Errorf("bulk queue %d bytes exceeds window", queued)
 					return
 				}
@@ -417,7 +413,7 @@ func TestBulkBackpressureBounded(t *testing.T) {
 	}
 	sb.waitN(t, frames, 30*time.Second)
 	if reg.Counter("transport_backpressure_waits_total").Value() == 0 {
-		t.Error("expected at least one backpressure wait with a tiny window")
+		t.Error("expected at least one backpressure wait")
 	}
 }
 

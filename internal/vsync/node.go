@@ -28,14 +28,9 @@ type Config struct {
 	OnEvent func(Event)
 	// AckInterval is the period of the housekeeping tick (delivery acks,
 	// stability broadcast, pending retry, gap detection). Zero means 25ms.
+	// An unacknowledged send or an undelivered stream gap is retried after
+	// four ticks.
 	AckInterval time.Duration
-	// RetryTimeout is how long an unacknowledged send or an undelivered
-	// stream gap waits before retransmission machinery kicks in. Zero
-	// means 4×AckInterval.
-	RetryTimeout time.Duration
-	// HistoryLimit caps the per-destination retransmission buffer at the
-	// coordinator. Zero means 16384 messages.
-	HistoryLimit int
 	// Metrics receives vsync telemetry (view-change membership-phase
 	// latency, flush sizes). Nil selects a private registry, so
 	// instrumentation never needs guarding.
@@ -54,7 +49,7 @@ type pendingData struct {
 	// expected to reach the sequencer without this process's help. It has
 	// no SendSeq yet — stamping one would open a gap in this process's FIFO
 	// stream that stalls its later sends at the coordinator. The entry is
-	// dropped when the message is delivered here, forwarded if RetryTimeout
+	// dropped when the message is delivered here, forwarded if retryTimeout
 	// passes first, and flushed like any other pending send.
 	parked bool
 }
@@ -145,12 +140,20 @@ type earlyMsg struct {
 	m    wire.Message
 }
 
+// historyLimit caps the coordinator's per-destination retransmission
+// buffer and the held messages of later views.
+const historyLimit = 16384
+
 // Node is the virtual-synchrony engine for one process. It implements
 // membership.Hooks; wire it into the membership service and route inbound
 // vsync messages to Handle.
 type Node struct {
 	cfg Config
 	clk clock.Clock
+	// retryTimeout is how long an unacknowledged send, a parked client
+	// copy or an undelivered stream gap waits before it is retried:
+	// 4×AckInterval.
+	retryTimeout time.Duration
 
 	mu sync.Mutex
 	// view is the current process-level view.
@@ -190,7 +193,7 @@ type Node struct {
 	// arrival order, until Install reaches their view. A commit reaches the
 	// members of a view one after another; whoever installs first sends at
 	// once, and without this its first messages would be dropped at peers
-	// a step behind and recovered only by the RetryTimeout retry or NACK —
+	// a step behind and recovered only by the retryTimeout retry or NACK —
 	// with a FIFO gap stalling everything the sender multicasts meanwhile.
 	early []earlyMsg
 
@@ -227,30 +230,25 @@ func New(cfg Config) *Node {
 	if cfg.AckInterval == 0 {
 		cfg.AckInterval = 25 * time.Millisecond
 	}
-	if cfg.RetryTimeout == 0 {
-		cfg.RetryTimeout = 4 * cfg.AckInterval
-	}
-	if cfg.HistoryLimit == 0 {
-		cfg.HistoryLimit = 16384
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	n := &Node{
-		cfg:        cfg,
-		clk:        clock.OrReal(cfg.Clock),
-		view:       membership.NewView(ids.ViewID{Epoch: 1, Coord: cfg.Self}, []ids.ProcessID{cfg.Self}),
-		dir:        make(map[ids.GroupName]map[ids.ProcessID]bool),
-		groupViewN: make(map[ids.GroupName]uint64),
-		lastGV:     make(map[ids.GroupName]GroupView),
-		pending:    make(map[ids.MsgID]*pendingData),
-		dseqBuf:    make(map[uint64]SeqData),
-		grp:        map[ids.GroupName]*groupRecv{DirGroup: newGroupRecv(0)},
-		stableIDs:  make(idSet),
-		coord:      newCoordState(),
-		events:     newEventQueue(),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		cfg:          cfg,
+		clk:          clock.OrReal(cfg.Clock),
+		retryTimeout: 4 * cfg.AckInterval,
+		view:         membership.NewView(ids.ViewID{Epoch: 1, Coord: cfg.Self}, []ids.ProcessID{cfg.Self}),
+		dir:          make(map[ids.GroupName]map[ids.ProcessID]bool),
+		groupViewN:   make(map[ids.GroupName]uint64),
+		lastGV:       make(map[ids.GroupName]GroupView),
+		pending:      make(map[ids.MsgID]*pendingData),
+		dseqBuf:      make(map[uint64]SeqData),
+		grp:          map[ids.GroupName]*groupRecv{DirGroup: newGroupRecv(0)},
+		stableIDs:    make(idSet),
+		coord:        newCoordState(),
+		events:       newEventQueue(),
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
 	n.nextDSeq = 1
 	return n
@@ -417,10 +415,10 @@ func (n *Node) Handle(from ids.EndpointID, m wire.Message) {
 }
 
 // holdEarlyLocked keeps a message of a later view for Install. Past
-// HistoryLimit it is dropped instead, which the sender's retry (Data) or
+// historyLimit it is dropped instead, which the sender's retry (Data) or
 // this process's NACK (SeqData) repairs as it does a lost message.
 func (n *Node) holdEarlyLocked(from ids.EndpointID, vid ids.ViewID, m wire.Message) {
-	if len(n.early) < n.cfg.HistoryLimit {
+	if len(n.early) < historyLimit {
 		n.early = append(n.early, earlyMsg{from: from, vid: vid, m: m})
 	}
 }
@@ -618,7 +616,7 @@ func (n *Node) coordRetainLocked(dest ids.ProcessID, sd SeqData) {
 		c.histMin[dest] = sd.DSeq
 	}
 	h[sd.DSeq] = sd
-	for len(h) > n.cfg.HistoryLimit {
+	for len(h) > historyLimit {
 		delete(h, c.histMin[dest])
 		c.histMin[dest]++
 	}
@@ -787,7 +785,7 @@ func diffMembers(prev, cur []ids.ProcessID) (joined, left []ids.ProcessID) {
 // to the sequencer holds one: it parks the copy when the view coordinator
 // is itself in the group (the coordinator sequences its own copy), and
 // when the coordinator is outside the group all members but the lowest
-// park. A parked copy whose message is not delivered within RetryTimeout
+// park. A parked copy whose message is not delivered within retryTimeout
 // is forwarded after all (the other copy was lost), and a view change
 // flushes it like an in-flight forward. Servers outside the group cannot
 // tell who else was sent a copy and forward at once, which is what keeps a
@@ -865,7 +863,7 @@ func (n *Node) tick() {
 	// order so the stream positions they take do not depend on map order.
 	var overdue []Data
 	for _, p := range n.pending {
-		if now.Sub(p.lastSent) < n.cfg.RetryTimeout {
+		if now.Sub(p.lastSent) < n.retryTimeout {
 			continue
 		}
 		if p.parked {
@@ -896,7 +894,7 @@ func (n *Node) tick() {
 	}
 
 	// Member: NACK stream gaps that have persisted.
-	if n.recvMaxDSeq >= n.nextDSeq && now.Sub(n.lastNack) >= n.cfg.RetryTimeout && coordID != n.cfg.Self {
+	if n.recvMaxDSeq >= n.nextDSeq && now.Sub(n.lastNack) >= n.retryTimeout && coordID != n.cfg.Self {
 		n.lastNack = now
 		var missing []uint64
 		limit := n.recvMaxDSeq

@@ -630,7 +630,7 @@ func TestFlushDeliversIdenticalSetsToCoMovers(t *testing.T) {
 	if last := m1[2]; last.From != client || last.Payload.(testPayload).N != 3 {
 		t.Fatalf("flushed client message = %+v", last)
 	}
-	time.Sleep(30 * time.Millisecond) // past RetryTimeout: nothing left to re-deliver
+	time.Sleep(30 * time.Millisecond) // past retryTimeout: nothing left to re-deliver
 	if len(sink1.messages(tg)) != 3 || len(sink2.messages(tg)) != 3 {
 		t.Fatalf("parked copy delivered again after the flush: %d, %d",
 			len(sink1.messages(tg)), len(sink2.messages(tg)))
@@ -703,7 +703,7 @@ func (tn *testNet) pumpUntil(t *testing.T, cond func() bool, msg string) {
 
 // newTestCluster starts the processes of all in one forged view (its least
 // member coordinates) with members joined to tg, and returns the net and
-// each process's event sink.
+// each process's event sink. Each node retries after retry.
 func newTestCluster(t *testing.T, retry time.Duration, all, members []ids.ProcessID) (*testNet, map[ids.ProcessID]*eventSink) {
 	t.Helper()
 	tn := &testNet{nodes: make(map[ids.ProcessID]*Node)}
@@ -712,8 +712,9 @@ func newTestCluster(t *testing.T, retry time.Duration, all, members []ids.Proces
 		sink := &eventSink{}
 		n := New(Config{
 			Self: p, Send: netSender{net: tn, self: p}, OnEvent: sink.on,
-			AckInterval: 5 * time.Millisecond, RetryTimeout: retry,
+			AckInterval: 5 * time.Millisecond,
 		})
+		n.retryTimeout = retry
 		n.Start()
 		t.Cleanup(n.Stop)
 		tn.nodes[p], sinks[p] = n, sink
@@ -790,9 +791,9 @@ func TestParkedCopyForwardedWhenCoordinatorCopyLost(t *testing.T) {
 	tn.nodes[2].Handle(client, cs) // the coordinator's copy never arrives
 	tn.pump()
 	if tn.sent(isData) != 0 {
-		t.Fatal("forwarded before RetryTimeout")
+		t.Fatal("forwarded before retryTimeout")
 	}
-	tn.pumpUntil(t, func() bool { return tn.sent(isData) == 1 }, "parked copy forwarded after RetryTimeout")
+	tn.pumpUntil(t, func() bool { return tn.sent(isData) == 1 }, "parked copy forwarded after retryTimeout")
 	tn.pumpUntil(t, func() bool {
 		return len(sinks[1].messages(tg)) == 1 && len(sinks[2].messages(tg)) == 1
 	}, "delivered at both members")
@@ -808,7 +809,7 @@ func TestParkedCopyForwardedWhenCoordinatorCopyLost(t *testing.T) {
 func TestParkedCopyDoesNotStallLaterMulticast(t *testing.T) {
 	tn, sinks := newTestCluster(t, time.Hour, []ids.ProcessID{1, 2}, []ids.ProcessID{1, 2})
 	client, cs := clientSend(1, 7)
-	tn.nodes[2].Handle(client, cs) // parked for good: RetryTimeout is an hour
+	tn.nodes[2].Handle(client, cs) // parked for good: retryTimeout is an hour
 	if err := tn.nodes[2].Multicast(tg, testPayload{N: 8}); err != nil {
 		t.Fatal(err)
 	}
