@@ -262,7 +262,7 @@ func callAllocReason(pass *analysis.Pass, call *ast.CallExpr, site bool) (string
 			if t != nil {
 				if sl, ok := t.Underlying().(*types.Slice); ok {
 					if basic, ok := sl.Elem().Underlying().(*types.Basic); ok && basic.Kind() == types.Uint8 {
-						return "allocates a fresh []byte per call; reuse a buffer or the wire.GetBuffer pool", allocMakeBytes
+						return "allocates a fresh []byte per call; reuse a buffer or a pooled one", allocMakeBytes
 					}
 				}
 				if _, ok := t.Underlying().(*types.Map); ok {

@@ -20,7 +20,7 @@ func encodeGob(v any) []byte {
 //hafw:hotpath
 func Deliver(msgs [][]byte) {
 	for _, m := range msgs {
-		buf := make([]byte, 64) // want `hot path allocates a fresh \[\]byte per call; reuse a buffer or the wire\.GetBuffer pool`
+		buf := make([]byte, 64) // want `hot path allocates a fresh \[\]byte per call; reuse a buffer or a pooled one`
 		copy(buf, m)
 	}
 }

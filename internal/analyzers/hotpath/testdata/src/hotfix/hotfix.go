@@ -4,7 +4,7 @@ package hotfix
 //hafw:hotpath
 func Fill(frames [][]byte) {
 	for i := range frames {
-		buf := make([]byte, 1024) // want `hot path allocates a fresh \[\]byte per call; reuse a buffer or the wire\.GetBuffer pool`
+		buf := make([]byte, 1024) // want `hot path allocates a fresh \[\]byte per call; reuse a buffer or a pooled one`
 		frames[i] = buf[:0]
 	}
 }
@@ -16,7 +16,7 @@ func Fill(frames [][]byte) {
 func perChunk(chunks [][]byte) {
 	var n int
 	for _, c := range chunks {
-		buf := make([]byte, len(c)) // want `hot path allocates a fresh \[\]byte per call; reuse a buffer or the wire\.GetBuffer pool`
+		buf := make([]byte, len(c)) // want `hot path allocates a fresh \[\]byte per call; reuse a buffer or a pooled one`
 		n += copy(buf, c)
 	}
 	_ = n

@@ -59,9 +59,11 @@ type groupRecv struct {
 	// upTo is the highest group sequence number delivered (or skipped as
 	// pre-join) here, within the current view.
 	upTo uint64
-	// retained holds delivered-but-unstable sequenced messages for the
-	// view-change flush.
-	retained map[uint64]SeqData
+	// retained holds the delivered-but-unstable sequenced messages for the
+	// view-change flush, as the flush carries them, in Seq order: a group's
+	// messages reach a member in the order they were sequenced, so
+	// stability pops them from the front.
+	retained ring[flushMsg]
 	// deliveredIDs dedups flush deliveries against sequenced ones within
 	// the view. It holds the IDs of retained messages only: stability
 	// drops an ID together with its message, and the node's stableIDs
@@ -74,7 +76,6 @@ type groupRecv struct {
 func newGroupRecv(upTo uint64) *groupRecv {
 	return &groupRecv{
 		upTo:         upTo,
-		retained:     make(map[uint64]SeqData),
 		deliveredIDs: make(map[ids.MsgID]bool),
 	}
 }
@@ -102,10 +103,10 @@ type coordState struct {
 	nextSeq map[ids.GroupName]uint64
 	// nextDSeqOut is the next per-destination stream number to assign.
 	nextDSeqOut map[ids.ProcessID]uint64
-	// history retains sent SeqData per destination for NACK retransmit.
-	history map[ids.ProcessID]map[uint64]SeqData
-	// histMin is the lowest retained dseq per destination.
-	histMin map[ids.ProcessID]uint64
+	// history retains the SeqData sent to each other destination for NACK
+	// retransmission, until the destination acknowledges it or
+	// historyLimit newer entries push it out.
+	history map[ids.ProcessID]*sentStream
 	// acks is the latest per-member delivery report.
 	acks map[ids.ProcessID]map[ids.GroupName]uint64
 	// fifo reassembles each sender's Data stream.
@@ -119,11 +120,32 @@ func newCoordState() *coordState {
 		unstable:    make(map[ids.GroupName][]unstableMsg),
 		nextSeq:     make(map[ids.GroupName]uint64),
 		nextDSeqOut: make(map[ids.ProcessID]uint64),
-		history:     make(map[ids.ProcessID]map[uint64]SeqData),
-		histMin:     make(map[ids.ProcessID]uint64),
+		history:     make(map[ids.ProcessID]*sentStream),
 		acks:        make(map[ids.ProcessID]map[ids.GroupName]uint64),
 		fifo:        make(map[ids.EndpointID]*fifoBuf),
 	}
+}
+
+// sentStream is the retained part of one destination's stream: the entries
+// with dseqs min, min+1, ..., in order, since the coordinator numbers each
+// destination's stream without gaps. A dseq indexes it directly.
+type sentStream struct {
+	min uint64
+	q   ring[SeqData]
+}
+
+// get returns the retained entry for dseq, if any.
+func (h *sentStream) get(dseq uint64) (*SeqData, bool) {
+	if dseq < h.min || dseq-h.min >= uint64(h.q.len()) {
+		return nil, false
+	}
+	return h.q.at(int(dseq - h.min)), true
+}
+
+// popFront drops the oldest retained entry.
+func (h *sentStream) popFront() {
+	h.q.pop()
+	h.min++
 }
 
 // unstableMsg is one sequenced message awaiting stability.
@@ -199,7 +221,9 @@ type Node struct {
 
 	// nextDSeq is the next stream position to deliver.
 	nextDSeq uint64
-	// dseqBuf holds out-of-order stream entries.
+	// dseqBuf holds the stream entries that arrived ahead of a gap, or
+	// while the node was blocked. An entry that arrives in order while the
+	// node is not blocked is delivered without passing through it.
 	dseqBuf map[uint64]SeqData
 	// recvMaxDSeq is the highest stream position known to exist.
 	recvMaxDSeq uint64
@@ -559,10 +583,10 @@ func (n *Node) sequenceLocked(from ids.EndpointID, d Data) {
 			ID: d.ID, From: d.From, Payload: d.Payload, BaseSeq: baseSeq,
 			TC: d.TC,
 		}
-		n.coordRetainLocked(dest, sd)
 		if dest == n.cfg.Self {
-			n.handleSeqDataLocked(sd)
+			n.handleSeqDataLocked(sd) // the coordinator never NACKs itself: no history
 		} else {
+			n.coordRetainLocked(dest, sd)
 			_ = n.cfg.Send.Send(ids.ProcessEndpoint(dest), sd)
 		}
 	}
@@ -606,26 +630,30 @@ func (n *Node) destinationsLocked(g ids.GroupName) []ids.ProcessID {
 }
 
 // coordRetainLocked records a sent SeqData for NACK retransmission,
-// bounding the buffer.
+// bounding the buffer to historyLimit entries.
+//
+//hafw:hotpath
 func (n *Node) coordRetainLocked(dest ids.ProcessID, sd SeqData) {
 	c := n.coord
 	h := c.history[dest]
 	if h == nil {
-		h = make(map[uint64]SeqData)
+		h = &sentStream{}
 		c.history[dest] = h
-		c.histMin[dest] = sd.DSeq
 	}
-	h[sd.DSeq] = sd
-	for len(h) > historyLimit {
-		delete(h, c.histMin[dest])
-		c.histMin[dest]++
+	if h.q.len() == 0 {
+		h.min = sd.DSeq
+	} else if h.q.len() == historyLimit {
+		h.popFront()
 	}
+	h.q.push(sd)
 }
 
 // --- member: delivery ---
 
 // handleSeqDataLocked accepts one stream entry, buffering out-of-order and
 // draining in strict dseq order.
+//
+//hafw:hotpath
 func (n *Node) handleSeqDataLocked(sd SeqData) {
 	if sd.VID != n.view.ID {
 		return
@@ -635,6 +663,15 @@ func (n *Node) handleSeqDataLocked(sd SeqData) {
 	}
 	if sd.DSeq < n.nextDSeq {
 		return // duplicate
+	}
+	if sd.DSeq == n.nextDSeq && !n.blocked {
+		// In order: deliver it, then whatever it was the gap before.
+		n.nextDSeq++
+		n.deliverSeqLocked(sd)
+		if len(n.dseqBuf) > 0 {
+			n.drainLocked()
+		}
+		return
 	}
 	n.dseqBuf[sd.DSeq] = sd
 	if n.blocked {
@@ -680,7 +717,10 @@ func (n *Node) deliverSeqLocked(sd SeqData) {
 		return
 	}
 	g.deliveredIDs[sd.ID] = true
-	g.retained[sd.Seq] = sd
+	g.retained.push(flushMsg{
+		Group: sd.Group, Seq: sd.Seq, ID: sd.ID, From: sd.From,
+		Payload: sd.Payload, BaseSeq: sd.BaseSeq, TC: sd.TC,
+	})
 	n.applyDeliveryLocked(sd.Group, sd.From, sd.ID, sd.Payload, sd.Seq, sd.BaseSeq, sd.TC)
 }
 
@@ -1004,9 +1044,8 @@ func (n *Node) applyAckLocked(p ids.ProcessID, a Ack) {
 	// Prune the retransmission history up to the member's contiguous
 	// delivery point.
 	if h := c.history[p]; h != nil {
-		for c.histMin[p] <= a.DSeqUpTo {
-			delete(h, c.histMin[p])
-			c.histMin[p]++
+		for h.q.len() > 0 && h.min <= a.DSeqUpTo {
+			h.popFront()
 		}
 	}
 }
@@ -1025,11 +1064,9 @@ func (n *Node) applyStableLocked(st Stable) {
 		if rec == nil {
 			continue
 		}
-		for s, sd := range rec.retained {
-			if s <= seq {
-				delete(rec.retained, s)
-				delete(rec.deliveredIDs, sd.ID)
-			}
+		for rec.retained.len() > 0 && rec.retained.at(0).Seq <= seq {
+			delete(rec.deliveredIDs, rec.retained.at(0).ID)
+			rec.retained.pop()
 		}
 	}
 	if st.MaxDSeq > n.recvMaxDSeq {
@@ -1050,8 +1087,8 @@ func (n *Node) handleNackLocked(from ids.EndpointID, nk Nack) {
 		return
 	}
 	for _, dseq := range nk.DSeqs {
-		if sd, ok := h[dseq]; ok {
-			_ = n.cfg.Send.Send(from, sd)
+		if sd, ok := h.get(dseq); ok {
+			_ = n.cfg.Send.Send(from, *sd)
 		}
 	}
 }
@@ -1082,11 +1119,8 @@ func (n *Node) Collect() []byte {
 	}
 	for g, rec := range n.grp {
 		fs.UpTo[g] = rec.upTo
-		for seq, sd := range rec.retained {
-			fs.Msgs = append(fs.Msgs, flushMsg{
-				Group: g, Seq: seq, ID: sd.ID, From: sd.From,
-				Payload: sd.Payload, BaseSeq: sd.BaseSeq, TC: sd.TC,
-			})
+		for i := 0; i < rec.retained.len(); i++ {
+			fs.Msgs = append(fs.Msgs, *rec.retained.at(i))
 		}
 	}
 	// Buffered-but-undelivered stream entries are knowledge too.

@@ -930,6 +930,73 @@ func TestNackTriggersRetransmit(t *testing.T) {
 	if fs.count(isSD) <= before {
 		t.Fatal("NACK did not trigger retransmission")
 	}
+
+	// Member 2's stream holds its join at dseq 1 and the multicast at 2;
+	// four more multicasts take dseqs 3 to 6. An Ack through dseq 3 prunes
+	// 1 to 3 from its history: a NACK for 3 then resends nothing, and one
+	// for 4 resends exactly that entry.
+	for i := 2; i <= 5; i++ {
+		if err := n.Multicast(tg, testPayload{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Handle(ids.ProcessEndpoint(2), Ack{VID: v.ID, DSeqUpTo: 3})
+	resent := func(dseqs ...uint64) []SeqData {
+		fs.mu.Lock()
+		from := len(fs.sent)
+		fs.mu.Unlock()
+		n.Handle(ids.ProcessEndpoint(2), Nack{VID: v.ID, DSeqs: dseqs})
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		var out []SeqData
+		for _, e := range fs.sent[from:] {
+			if isSD(e) {
+				out = append(out, e.Payload.(SeqData))
+			}
+		}
+		return out
+	}
+	if got := resent(3); len(got) != 0 {
+		t.Errorf("NACK of pruned dseq 3 resent %+v", got)
+	}
+	if got := resent(4); len(got) != 1 || got[0].DSeq != 4 || got[0].Payload != (testPayload{N: 3}) {
+		t.Errorf("NACK of dseq 4 resent %+v, want its one entry carrying N=3", got)
+	}
+
+	// A member that never acknowledges again leaves the coordinator
+	// holding its newest historyLimit entries, no more.
+	const sends = historyLimit + 100
+	for i := 0; i < sends; i++ {
+		if err := n.Multicast(tg, testPayload{N: 100 + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.mu.Lock()
+	h := n.coord.history[2]
+	held, oldest := h.q.len(), h.min
+	n.mu.Unlock()
+	if last := uint64(6 + sends); held != historyLimit || oldest != last-historyLimit+1 {
+		t.Errorf("history holds %d entries from dseq %d, want %d from %d", held, oldest, historyLimit, last-historyLimit+1)
+	}
+
+	// Stability drops a delivered message from retained and from
+	// deliveredIDs together. Member 2 never acknowledged any of the group,
+	// so only this Stable can make them stable.
+	n.mu.Lock()
+	rec := n.grp[tg]
+	kept, keptIDs, upTo := rec.retained.len(), len(rec.deliveredIDs), rec.upTo
+	n.mu.Unlock()
+	if kept != int(upTo) || keptIDs != kept {
+		t.Fatalf("before Stable: %d retained, %d delivered IDs, want %d of each", kept, keptIDs, upTo)
+	}
+	n.Handle(ids.ProcessEndpoint(1), Stable{VID: v.ID, StableTo: map[ids.GroupName]uint64{tg: upTo - 10}})
+	n.mu.Lock()
+	kept, keptIDs = rec.retained.len(), len(rec.deliveredIDs)
+	first := rec.retained.at(0).Seq
+	n.mu.Unlock()
+	if kept != 10 || keptIDs != 10 || first != upTo-9 {
+		t.Errorf("after Stable to %d: %d retained from seq %d, %d delivered IDs; want 10 from %d, 10", upTo-10, kept, first, keptIDs, upTo-9)
+	}
 }
 
 func TestEventQueueOrderAndClose(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"unsafe"
 )
 
 // The binary codec. A message travels as its WireName followed by a
@@ -41,9 +42,13 @@ import (
 // bytes per input byte, so a hostile input cannot make it allocate more
 // than a fixed multiple of its own size.
 //
-// A codec is compiled once per Go type, at Register time, by reflection;
-// encoding and decoding walk the compiled codec and keep no state between
-// messages.
+// A codec is compiled once per Go type, at Register time: compile reads
+// the type by reflection once and records, for each type, the functions
+// that encode and decode one value of its kind and, for each struct field,
+// its offset. Encoding and decoding then read and write values through
+// pointers at those offsets, with no reflect.Value per field, and keep no
+// state between messages. Reflection stays only where the runtime builds
+// the value: making slices and maps, and encoding maps.
 
 // codec is the compiled encode/decode plan for one Go type.
 type codec struct {
@@ -60,13 +65,20 @@ type codec struct {
 	// more elements than the bytes left could hold.
 	min int
 	// size is the bytes one value occupies in memory, charged to the
-	// decoding budget when values are allocated.
+	// decoding budget when values are allocated, and the stride of slice
+	// elements.
 	size int
+	// enc appends the encoding of the value at p.
+	enc func(c *codec, e *encoder, p unsafe.Pointer)
+	// dec reads one value into the zero value at p.
+	dec func(c *codec, d *decoder, p unsafe.Pointer) error
 }
 
+// field is one encoded struct field: its codec and its offset in the
+// struct.
 type field struct {
-	index int
-	c     *codec
+	off uintptr
+	c   *codec
 }
 
 var messageType = reflect.TypeOf((*Message)(nil)).Elem()
@@ -81,13 +93,24 @@ func compile(t reflect.Type, cache map[reflect.Type]*codec) *codec {
 	c := &codec{typ: t, kind: t.Kind(), min: 1, size: int(t.Size())}
 	cache[t] = c // before recursing: a type may reach itself through a slice or map
 	switch c.kind {
-	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.String:
+	case reflect.Bool:
+		c.enc, c.dec = encBool, decBool
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		c.enc, c.dec = encInt, decInt
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		c.enc, c.dec = encUint, decUint
 	case reflect.Float64:
 		c.min = 8
+		c.enc, c.dec = encFloat64, decFloat64
+	case reflect.String:
+		c.enc, c.dec = encString, decString
 	case reflect.Slice:
 		c.elem = compile(t.Elem(), cache)
+		if c.elem.kind == reflect.Uint8 {
+			c.enc, c.dec = encBytes, decBytes
+		} else {
+			c.enc, c.dec = encSlice, decSlice
+		}
 	case reflect.Map:
 		c.key = compile(t.Key(), cache)
 		c.elem = compile(t.Elem(), cache)
@@ -98,6 +121,7 @@ func compile(t reflect.Type, cache map[reflect.Type]*codec) *codec {
 		default:
 			panic(fmt.Sprintf("wire: map key type %s cannot be sorted for encoding", t.Key()))
 		}
+		c.enc, c.dec = encMap, decMap
 	case reflect.Struct:
 		// min stays 1, the length of an empty body: a sender that predates
 		// every field sends one.
@@ -106,16 +130,35 @@ func compile(t reflect.Type, cache map[reflect.Type]*codec) *codec {
 			if !f.IsExported() || f.Type.Kind() == reflect.Func || f.Type.Kind() == reflect.Chan {
 				continue
 			}
-			c.fields = append(c.fields, field{index: i, c: compile(f.Type, cache)})
+			c.fields = append(c.fields, field{off: f.Offset, c: compile(f.Type, cache)})
 		}
+		c.enc, c.dec = encStruct, decStruct
 	case reflect.Interface:
 		if t != messageType {
 			panic(fmt.Sprintf("wire: interface type %s is not wire.Message", t))
 		}
+		c.enc, c.dec = encMessage, decMessage
 	default:
 		panic(fmt.Sprintf("wire: type %s (kind %s) cannot travel on the wire", t, c.kind))
 	}
 	return c
+}
+
+// iface is the memory layout of a non-empty interface value, such as a
+// Message: the itab naming its dynamic type, then the data word. The data
+// word points to the value, except for pointer-shaped types, whose value
+// is the word itself.
+type iface struct {
+	tab  unsafe.Pointer
+	data unsafe.Pointer
+}
+
+func unpack(m Message) iface { return *(*iface)(unsafe.Pointer(&m)) }
+
+// sliceHeader is the memory layout of a slice value.
+type sliceHeader struct {
+	data     unsafe.Pointer
+	len, cap int
 }
 
 // --- encoding ---
@@ -147,72 +190,116 @@ const OutOfLine = 4 << 10
 // zeros pads a body length prefix that outgrew its one reserved byte.
 var zeros [binary.MaxVarintLen64]byte
 
-func (c *codec) encode(e *encoder, v reflect.Value) {
-	switch c.kind {
-	case reflect.Bool:
-		if v.Bool() {
-			e.b = append(e.b, 1)
-		} else {
-			e.b = append(e.b, 0)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		e.b = binary.AppendVarint(e.b, v.Int())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		e.b = binary.AppendUvarint(e.b, v.Uint())
-	case reflect.Float64:
-		e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v.Float()))
-	case reflect.String:
-		s := v.String()
-		e.b = append(binary.AppendUvarint(e.b, uint64(len(s))), s...)
-	case reflect.Slice:
-		if c.elem.kind == reflect.Uint8 {
-			bs := v.Bytes()
-			e.b = binary.AppendUvarint(e.b, uint64(len(bs)))
-			if e.frame && len(bs) >= OutOfLine {
-				e.segs = append(e.segs, segment{off: len(e.b), data: bs})
-				return
-			}
-			e.b = append(e.b, bs...)
-			return
-		}
-		c.encodeElems(e, v)
-	case reflect.Map:
-		c.encodeMap(e, v)
-	case reflect.Struct:
-		at := e.open()
-		for _, f := range c.fields {
-			f.c.encode(e, v.Field(f.index))
-		}
-		e.close(at)
-	case reflect.Interface:
-		if v.IsNil() {
-			e.b = append(e.b, 0)
-			return
-		}
-		e.message(v.Elem())
+//hafw:hotpath
+func encBool(_ *codec, e *encoder, p unsafe.Pointer) {
+	var b byte
+	if *(*bool)(p) {
+		b = 1
+	}
+	e.b = append(e.b, b)
+}
+
+// encInt writes a signed integer of any width, which its size tells.
+//
+//hafw:hotpath
+func encInt(c *codec, e *encoder, p unsafe.Pointer) {
+	var x int64
+	switch c.size {
+	case 1:
+		x = int64(*(*int8)(p))
+	case 2:
+		x = int64(*(*int16)(p))
+	case 4:
+		x = int64(*(*int32)(p))
+	default:
+		x = *(*int64)(p)
+	}
+	e.b = binary.AppendVarint(e.b, x)
+}
+
+// encUint writes an unsigned integer of any width, which its size tells.
+//
+//hafw:hotpath
+func encUint(c *codec, e *encoder, p unsafe.Pointer) {
+	var x uint64
+	switch c.size {
+	case 1:
+		x = uint64(*(*uint8)(p))
+	case 2:
+		x = uint64(*(*uint16)(p))
+	case 4:
+		x = uint64(*(*uint32)(p))
+	default:
+		x = *(*uint64)(p)
+	}
+	e.b = binary.AppendUvarint(e.b, x)
+}
+
+//hafw:hotpath
+func encFloat64(_ *codec, e *encoder, p unsafe.Pointer) {
+	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(*(*float64)(p)))
+}
+
+//hafw:hotpath
+func encString(_ *codec, e *encoder, p unsafe.Pointer) {
+	s := *(*string)(p)
+	e.b = append(binary.AppendUvarint(e.b, uint64(len(s))), s...)
+}
+
+// encBytes writes a slice of bytes. A frame encoder leaves one of at least
+// OutOfLine bytes where it lies.
+//
+//hafw:hotpath
+func encBytes(_ *codec, e *encoder, p unsafe.Pointer) {
+	bs := *(*[]byte)(p)
+	e.b = binary.AppendUvarint(e.b, uint64(len(bs)))
+	if e.frame && len(bs) >= OutOfLine {
+		e.segs = append(e.segs, segment{off: len(e.b), data: bs})
+		return
+	}
+	e.b = append(e.b, bs...)
+}
+
+//hafw:hotpath
+func encSlice(c *codec, e *encoder, p unsafe.Pointer) {
+	s := (*sliceHeader)(p)
+	e.b = binary.AppendUvarint(e.b, uint64(s.len))
+	for i := 0; i < s.len; i++ {
+		c.elem.enc(c.elem, e, unsafe.Add(s.data, i*c.elem.size))
 	}
 }
 
-func (c *codec) encodeElems(e *encoder, v reflect.Value) {
-	n := v.Len()
-	e.b = binary.AppendUvarint(e.b, uint64(n))
-	for i := 0; i < n; i++ {
-		c.elem.encode(e, v.Index(i))
+//hafw:hotpath
+func encStruct(c *codec, e *encoder, p unsafe.Pointer) {
+	at := e.open()
+	for _, f := range c.fields {
+		f.c.enc(f.c, e, unsafe.Add(p, f.off))
 	}
+	e.close(at)
 }
 
-// encodeMap writes a map's entries in ascending key order, so equal maps
-// encode to equal bytes.
-func (c *codec) encodeMap(e *encoder, v reflect.Value) {
+func encMessage(_ *codec, e *encoder, p unsafe.Pointer) {
+	e.message(*(*Message)(p))
+}
+
+// encMap writes a map's entries in ascending key order, so equal maps
+// encode to equal bytes. Each entry is copied into addressable scratch
+// values for the key and element codecs.
+func encMap(c *codec, e *encoder, p unsafe.Pointer) {
+	v := reflect.NewAt(c.typ, p).Elem()
 	e.b = binary.AppendUvarint(e.b, uint64(v.Len()))
 	if v.Len() == 0 {
 		return
 	}
 	keys := v.MapKeys()
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	for _, k := range keys {
-		c.key.encode(e, k)
-		c.elem.encode(e, v.MapIndex(k))
+	k := reflect.New(c.key.typ)
+	x := reflect.New(c.elem.typ)
+	for _, key := range keys {
+		k.Elem().Set(key)
+		x.Elem().Set(v.MapIndex(key))
+		c.key.enc(c.key, e, k.UnsafePointer())
+		c.elem.enc(c.elem, e, x.UnsafePointer())
 	}
 }
 
@@ -229,22 +316,35 @@ func keyLess(a, b reflect.Value) bool {
 	return false
 }
 
-// message writes one message — name, then length-prefixed body — for the
-// concrete value v. It fails if v's type is not registered.
-func (e *encoder) message(v reflect.Value) {
-	mt := lookupType(v.Type())
+// message writes one message — name, then length-prefixed body — or a
+// zero name length for a nil message. It fails if m's type is not
+// registered.
+func (e *encoder) message(m Message) {
+	i := unpack(m)
+	if i.tab == nil {
+		e.b = append(e.b, 0)
+		return
+	}
+	mt := lookupTab(i.tab)
 	if mt == nil {
-		e.fail(fmt.Errorf("wire: encode: unregistered message type %s", v.Type()))
+		e.fail(fmt.Errorf("wire: encode: unregistered message type %T", m))
 		return
 	}
 	e.b = binary.AppendUvarint(e.b, uint64(len(mt.name)))
 	e.b = append(e.b, mt.name...)
+	p := i.data
+	if mt.direct {
+		// The data word is the value: encode from a copy of it.
+		w := new(unsafe.Pointer)
+		*w = i.data
+		p = unsafe.Pointer(w)
+	}
 	if mt.body.kind == reflect.Struct {
-		mt.body.encode(e, v) // a struct brings its own length
+		mt.body.enc(mt.body, e, p) // a struct brings its own length
 		return
 	}
 	at := e.open()
-	mt.body.encode(e, v)
+	mt.body.enc(mt.body, e, p)
 	e.close(at)
 }
 
@@ -308,8 +408,9 @@ var errTooDeep = errors.New("wire: decode: values nest too deeply")
 
 // allocPerByte bounds what decoding may allocate per input byte. The
 // widest legitimate expansion is a registered message of a few hundred
-// bytes in memory named in a dozen bytes on the wire, allocated once to
-// decode into and once more to box it as a wire.Message.
+// bytes in memory named in a dozen bytes on the wire. A decoded message is
+// charged twice its size: it is allocated once and boxed as a
+// wire.Message in that allocation, and the second charge is margin.
 const allocPerByte = 32
 
 var errTooLarge = errors.New("wire: decode: input expands beyond the allocation budget")
@@ -391,73 +492,144 @@ func (d *decoder) bytes(n int) []byte {
 	return p
 }
 
-// decode reads one value into v, which is settable and zero.
-func (c *codec) decode(d *decoder, v reflect.Value) error {
-	switch c.kind {
-	case reflect.Bool:
-		if len(d.b) == 0 || d.b[0] > 1 {
-			return errTruncated
-		}
-		v.SetBool(d.b[0] == 1)
-		d.b = d.b[1:]
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		x, n := binary.Varint(d.b)
-		if n <= 0 {
-			return errTruncated
-		}
-		d.b = d.b[n:]
-		if v.OverflowInt(x) {
+//hafw:hotpath
+func decBool(_ *codec, d *decoder, p unsafe.Pointer) error {
+	if len(d.b) == 0 || d.b[0] > 1 {
+		return errTruncated
+	}
+	*(*bool)(p) = d.b[0] == 1
+	d.b = d.b[1:]
+	return nil
+}
+
+// decInt reads a signed integer of any width, failing on one its field
+// cannot hold.
+//
+//hafw:hotpath
+func decInt(c *codec, d *decoder, p unsafe.Pointer) error {
+	x, n := binary.Varint(d.b)
+	if n <= 0 {
+		return errTruncated
+	}
+	d.b = d.b[n:]
+	switch c.size {
+	case 1:
+		if int64(int8(x)) != x {
 			return errOverflow
 		}
-		v.SetInt(x)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		x, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if v.OverflowUint(x) {
+		*(*int8)(p) = int8(x)
+	case 2:
+		if int64(int16(x)) != x {
 			return errOverflow
 		}
-		v.SetUint(x)
-	case reflect.Float64:
-		if len(d.b) < 8 {
-			return errTruncated
+		*(*int16)(p) = int16(x)
+	case 4:
+		if int64(int32(x)) != x {
+			return errOverflow
 		}
-		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(d.b)))
-		d.b = d.b[8:]
-	case reflect.String:
-		n, err := d.count(1)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			if err := d.charge(n, 1); err != nil {
-				return err
-			}
-			v.SetString(string(d.bytes(n)))
-		}
-	case reflect.Slice:
-		return c.decodeSlice(d, v)
-	case reflect.Map:
-		return c.decodeMap(d, v)
-	case reflect.Struct:
-		return c.decodeStruct(d, v)
-	case reflect.Interface:
-		m, err := d.message()
-		if err != nil {
-			return err
-		}
-		if m.IsValid() {
-			v.Set(m)
-		}
+		*(*int32)(p) = int32(x)
+	default:
+		*(*int64)(p) = x
 	}
 	return nil
 }
 
-// decodeStruct reads a struct's fields until its body ends. Fields past
-// the end keep their zero value (the sender predates them); bytes past the
+// decUint reads an unsigned integer of any width, failing on one its field
+// cannot hold.
+//
+//hafw:hotpath
+func decUint(c *codec, d *decoder, p unsafe.Pointer) error {
+	x, err := d.uvarint()
+	if err != nil {
+		return err
+	}
+	switch c.size {
+	case 1:
+		if uint64(uint8(x)) != x {
+			return errOverflow
+		}
+		*(*uint8)(p) = uint8(x)
+	case 2:
+		if uint64(uint16(x)) != x {
+			return errOverflow
+		}
+		*(*uint16)(p) = uint16(x)
+	case 4:
+		if uint64(uint32(x)) != x {
+			return errOverflow
+		}
+		*(*uint32)(p) = uint32(x)
+	default:
+		*(*uint64)(p) = x
+	}
+	return nil
+}
+
+//hafw:hotpath
+func decFloat64(_ *codec, d *decoder, p unsafe.Pointer) error {
+	if len(d.b) < 8 {
+		return errTruncated
+	}
+	*(*float64)(p) = math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	return nil
+}
+
+//hafw:hotpath
+func decString(_ *codec, d *decoder, p unsafe.Pointer) error {
+	n, err := d.count(1)
+	if err != nil {
+		return err
+	}
+	if n > 0 {
+		if err := d.charge(n, 1); err != nil {
+			return err
+		}
+		*(*string)(p) = string(d.bytes(n))
+	}
+	return nil
+}
+
+// decBytes reads a slice of bytes into a copy; an empty one stays nil.
+//
+//hafw:hotpath
+func decBytes(_ *codec, d *decoder, p unsafe.Pointer) error {
+	n, err := d.count(1)
+	if err != nil || n == 0 {
+		return err
+	}
+	if err := d.charge(n, 1); err != nil {
+		return err
+	}
+	*(*[]byte)(p) = append([]byte(nil), d.bytes(n)...)
+	return nil
+}
+
+// decSlice reads a slice; an empty one stays nil.
+func decSlice(c *codec, d *decoder, p unsafe.Pointer) error {
+	n, err := d.count(c.elem.min)
+	if err != nil || n == 0 {
+		return err
+	}
+	if err := d.charge(n, c.elem.size); err != nil {
+		return err
+	}
+	s := sliceHeader{data: reflect.MakeSlice(c.typ, n, n).UnsafePointer(), len: n, cap: n}
+	for i := 0; i < n; i++ {
+		if err := c.elem.dec(c.elem, d, unsafe.Add(s.data, i*c.elem.size)); err != nil {
+			return err
+		}
+	}
+	*(*sliceHeader)(p) = s
+	return nil
+}
+
+// decStruct reads a struct's fields until its body ends. Fields past the
+// end keep their zero value (the sender predates them); bytes past the
 // last field are skipped (the sender has fields this binary does not).
-func (c *codec) decodeStruct(d *decoder, v reflect.Value) error {
+//
+//hafw:hotpath
+func decStruct(c *codec, d *decoder, p unsafe.Pointer) error {
 	rest, err := d.enter()
 	if err != nil {
 		return err
@@ -466,7 +638,7 @@ func (c *codec) decodeStruct(d *decoder, v reflect.Value) error {
 		if len(d.b) == 0 {
 			break
 		}
-		if err := f.c.decode(d, v.Field(f.index)); err != nil {
+		if err := f.c.dec(f.c, d, unsafe.Add(p, f.off)); err != nil {
 			return err
 		}
 	}
@@ -474,31 +646,17 @@ func (c *codec) decodeStruct(d *decoder, v reflect.Value) error {
 	return nil
 }
 
-// decodeSlice reads a slice; an empty one stays nil.
-func (c *codec) decodeSlice(d *decoder, v reflect.Value) error {
-	n, err := d.count(c.elem.min)
-	if err != nil || n == 0 {
+func decMessage(_ *codec, d *decoder, p unsafe.Pointer) error {
+	m, err := d.message()
+	if err != nil {
 		return err
 	}
-	if err := d.charge(n, c.elem.size); err != nil {
-		return err
-	}
-	if c.elem.kind == reflect.Uint8 {
-		v.SetBytes(append([]byte(nil), d.bytes(n)...))
-		return nil
-	}
-	s := reflect.MakeSlice(c.typ, n, n)
-	for i := 0; i < n; i++ {
-		if err := c.elem.decode(d, s.Index(i)); err != nil {
-			return err
-		}
-	}
-	v.Set(s)
+	*(*Message)(p) = m
 	return nil
 }
 
-// decodeMap reads a map; an empty one stays nil.
-func (c *codec) decodeMap(d *decoder, v reflect.Value) error {
+// decMap reads a map; an empty one stays nil.
+func decMap(c *codec, d *decoder, p unsafe.Pointer) error {
 	n, err := d.count(c.key.min + c.elem.min)
 	if err != nil || n == 0 {
 		return err
@@ -508,55 +666,53 @@ func (c *codec) decodeMap(d *decoder, v reflect.Value) error {
 		return err
 	}
 	m := reflect.MakeMapWithSize(c.typ, n)
-	k := reflect.New(c.key.typ).Elem()
-	e := reflect.New(c.elem.typ).Elem()
+	k := reflect.New(c.key.typ)
+	x := reflect.New(c.elem.typ)
 	for i := 0; i < n; i++ {
-		k.SetZero()
-		e.SetZero()
-		if err := c.key.decode(d, k); err != nil {
+		k.Elem().SetZero()
+		x.Elem().SetZero()
+		if err := c.key.dec(c.key, d, k.UnsafePointer()); err != nil {
 			return err
 		}
-		if err := c.elem.decode(d, e); err != nil {
+		if err := c.elem.dec(c.elem, d, x.UnsafePointer()); err != nil {
 			return err
 		}
-		m.SetMapIndex(k, e)
+		m.SetMapIndex(k.Elem(), x.Elem())
 	}
-	v.Set(m)
+	reflect.NewAt(c.typ, p).Elem().Set(m)
 	return nil
 }
 
 // message reads one message — name, then length-prefixed body — and
-// returns it as a value of its registered type, or the zero Value for a
-// nil message.
-func (d *decoder) message() (reflect.Value, error) {
+// returns it, or nil for a nil message.
+func (d *decoder) message() (Message, error) {
 	n, err := d.count(1)
 	if err != nil {
-		return reflect.Value{}, err
+		return nil, err
 	}
 	if n == 0 {
-		return reflect.Value{}, nil
+		return nil, nil
 	}
 	name := d.bytes(n)
 	mt := lookupName(name)
 	if mt == nil {
-		return reflect.Value{}, fmt.Errorf("wire: decode: unregistered message type %q", name)
+		return nil, fmt.Errorf("wire: decode: unregistered message type %q", name)
 	}
-	// The value, and its copy boxed as a wire.Message.
 	if err := d.charge(2, mt.body.size); err != nil {
-		return reflect.Value{}, err
+		return nil, err
 	}
-	v := reflect.New(mt.typ).Elem()
+	p := reflect.New(mt.typ).UnsafePointer()
 	if mt.body.kind == reflect.Struct {
-		err = mt.body.decode(d, v)
+		err = mt.body.dec(mt.body, d, p)
 	} else {
 		var rest []byte
 		if rest, err = d.enter(); err == nil {
-			err = mt.body.decode(d, v)
+			err = mt.body.dec(mt.body, d, p)
 			d.leave(rest)
 		}
 	}
 	if err != nil {
-		return reflect.Value{}, err
+		return nil, err
 	}
-	return v, nil
+	return mt.box(p), nil
 }

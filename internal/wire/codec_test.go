@@ -9,15 +9,17 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"hafw/internal/core"
 	"hafw/internal/ids"
+	"hafw/internal/loadgen"
+	"hafw/internal/vsync"
 	"hafw/internal/wire"
 
 	// Every package that registers production wire types.
-	_ "hafw/internal/core"
 	_ "hafw/internal/exp"
 	_ "hafw/internal/fd"
-	_ "hafw/internal/loadgen"
 	_ "hafw/internal/membership"
 	_ "hafw/internal/rsm"
 	_ "hafw/internal/services/edu"
@@ -25,7 +27,6 @@ import (
 	_ "hafw/internal/services/search"
 	_ "hafw/internal/services/vod"
 	_ "hafw/internal/unitdb"
-	_ "hafw/internal/vsync"
 )
 
 // leaf is the message the filler nests in every wire.Message field.
@@ -153,6 +154,12 @@ func roundTrip(t *testing.T, name string, m wire.Message) {
 	}
 }
 
+// clone deep-copies m through CloneEnvelope.
+func clone(m wire.Message) (wire.Message, error) {
+	env, _, err := wire.CloneEnvelope(wire.Envelope{Payload: m})
+	return env.Payload, err
+}
+
 // TestEveryGoldenTypeRoundTrips fills every production message type with
 // non-zero fields and checks Encode/Decode and CloneEnvelope return an
 // equal value. The quickstart example's types are the stand-ins of
@@ -212,7 +219,7 @@ func TestNestingDepthBounded(t *testing.T) {
 		}
 		return m
 	}
-	if _, err := wire.Clone(deep(20)); err != nil {
+	if _, err := clone(deep(20)); err != nil {
 		t.Fatalf("20 levels: %v", err)
 	}
 	data, err := wire.EncodeMessage(deep(1000))
@@ -228,12 +235,12 @@ func TestNestingDepthBounded(t *testing.T) {
 // nil, as they did under gob, whether they left nil or empty.
 func TestEmptyCollectionsDecodeNil(t *testing.T) {
 	for _, in := range []sparse{{}, {B: []byte{}, L: []uint64{}, M: map[string]int{}}} {
-		out, err := wire.Clone(in)
+		out, err := clone(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(out, sparse{}) {
-			t.Errorf("Clone(%#v) = %#v, want the zero value", in, out)
+			t.Errorf("clone(%#v) = %#v, want the zero value", in, out)
 		}
 	}
 }
@@ -241,12 +248,12 @@ func TestEmptyCollectionsDecodeNil(t *testing.T) {
 // TestUnexportedFieldsSkipped checks unexported and func fields neither
 // travel nor disturb the fields around them.
 func TestUnexportedFieldsSkipped(t *testing.T) {
-	out, err := wire.Clone(hidden{A: 1, secret: "x", F: func() {}, Z: "z"})
+	out, err := clone(hidden{A: 1, secret: "x", F: func() {}, Z: "z"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h := out.(hidden); h.A != 1 || h.Z != "z" || h.secret != "" || h.F != nil {
-		t.Errorf("Clone = %#v, want A and Z only", h)
+		t.Errorf("clone = %#v, want A and Z only", h)
 	}
 }
 
@@ -478,3 +485,51 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestCloneEnvelopeAllocs pins the allocations of one CloneEnvelope of a
+// client's 64-byte echo request on its way into a session group, the
+// envelope the request path clones at every hop: one per decoded message
+// and one per string and byte slice. A decoded message boxed a second
+// time, an encoder or decoder allocated per call, or a codec that walks
+// fields by reflection, shows up here.
+func TestCloneEnvelopeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so the pooled coder is allocated at random")
+	}
+	if unsafeEscapes() {
+		t.Skip("this build moves every value converted to unsafe.Pointer to the heap")
+	}
+	env := wire.Envelope{
+		From: ids.ClientEndpoint(5001), To: ids.ProcessEndpoint(1),
+		Payload: vsync.ClientSend{
+			Group: core.SessionGroup("load-0", 7),
+			ID:    ids.MsgID{Sender: ids.ClientEndpoint(5001), Seq: 42},
+			Payload: core.ClientRequest{Session: 7,
+				Body: loadgen.EchoReq{Seq: 42, Pad: make([]byte, 64)}},
+		},
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := wire.CloneEnvelope(env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > cloneAllocs {
+		t.Fatalf("CloneEnvelope of a small request allocates %.1f times, want at most %d", allocs, cloneAllocs)
+	}
+}
+
+// unsafeEscapes reports a build that moves every value converted to
+// unsafe.Pointer to the heap, as -gcflags=-d=checkptr=2 does so that it can
+// check the conversions.
+func unsafeEscapes() bool {
+	return testing.AllocsPerRun(10, func() {
+		x := uint64(5)
+		unsafeSink = *(*uint64)(unsafe.Pointer(&x))
+	}) > 0
+}
+
+var unsafeSink uint64
+
+// cloneAllocs is what TestCloneEnvelopeAllocs's CloneEnvelope allocates:
+// three messages, the group name and the padding.
+const cloneAllocs = 5

@@ -23,3 +23,11 @@ func RegisteredNames() []string {
 	sort.Strings(out)
 	return out
 }
+
+// ErrOverflow is the error decoding a value too wide for its field fails
+// with.
+var ErrOverflow = errOverflow
+
+// PointerShaped reports whether m's registered type is one an interface
+// holds in its data word.
+func PointerShaped(m Message) bool { return reg.Load().byTab[unpack(m).tab].direct }

@@ -13,7 +13,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,6 +21,7 @@ import (
 	"reflect"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"hafw/internal/ids"
 )
@@ -71,14 +71,33 @@ type msgType struct {
 	name string
 	typ  reflect.Type
 	body *codec
+	// tab is the type's itab as a Message: an interface value holding the
+	// type carries it, so the encoder looks the type up by it and the
+	// decoder builds a Message from it.
+	tab unsafe.Pointer
+	// direct marks a pointer-shaped type, whose value an interface holds
+	// in its data word instead of pointing to it.
+	direct bool
 }
 
-// registry maps wire names and Go types to registered message types. It
-// is copied on write — registration happens at init time — so the lookups
-// on every encode and decode take no lock.
+// box returns the decoded value at p as a Message. Most types are boxed in
+// place: the interface points to p. A pointer-shaped type is boxed by
+// reflection, which copies its value into the data word.
+func (mt *msgType) box(p unsafe.Pointer) Message {
+	if mt.direct {
+		return reflect.NewAt(mt.typ, p).Elem().Interface().(Message)
+	}
+	var m Message
+	*(*iface)(unsafe.Pointer(&m)) = iface{tab: mt.tab, data: p}
+	return m
+}
+
+// registry maps wire names and itabs to registered message types. It is
+// copied on write — registration happens at init time — so the lookups on
+// every encode and decode take no lock.
 type registry struct {
 	byName map[string]*msgType
-	byType map[reflect.Type]*msgType
+	byTab  map[unsafe.Pointer]*msgType
 	codecs map[reflect.Type]*codec
 }
 
@@ -90,12 +109,12 @@ var (
 func init() {
 	reg.Store(&registry{
 		byName: map[string]*msgType{},
-		byType: map[reflect.Type]*msgType{},
+		byTab:  map[unsafe.Pointer]*msgType{},
 		codecs: map[reflect.Type]*codec{},
 	})
 }
 
-func lookupType(t reflect.Type) *msgType { return reg.Load().byType[t] }
+func lookupTab(tab unsafe.Pointer) *msgType { return reg.Load().byTab[tab] }
 
 func lookupName(name []byte) *msgType { return reg.Load().byName[string(name)] }
 
@@ -117,10 +136,15 @@ func Register(m Message) {
 		}
 		return
 	}
-	next := &registry{byName: maps.Clone(old.byName), byType: maps.Clone(old.byType), codecs: maps.Clone(old.codecs)}
-	mt := &msgType{name: name, typ: t, body: compile(t, next.codecs)}
+	next := &registry{byName: maps.Clone(old.byName), byTab: maps.Clone(old.byTab), codecs: maps.Clone(old.codecs)}
+	mt := &msgType{
+		name: name, typ: t, body: compile(t, next.codecs), tab: unpack(m).tab,
+		// Only a pointer-shaped type's zero value boxes to a nil data word:
+		// any other type's word points to the value.
+		direct: unpack(reflect.Zero(t).Interface().(Message)).data == nil,
+	}
 	next.byName[name] = mt
-	next.byType[t] = mt
+	next.byTab[mt.tab] = mt
 	reg.Store(next)
 }
 
@@ -145,7 +169,7 @@ func (e *encoder) envelope(env Envelope) {
 	e.b = append(e.b, frameFormat)
 	e.b = appendEndpoint(e.b, env.From)
 	e.b = appendEndpoint(e.b, env.To)
-	e.message(reflect.ValueOf(env.Payload))
+	e.message(env.Payload)
 }
 
 func appendEndpoint(b []byte, ep ids.EndpointID) []byte {
@@ -154,21 +178,29 @@ func appendEndpoint(b []byte, ep ids.EndpointID) []byte {
 
 // Encode serializes an envelope to bytes. The payload must be registered.
 func Encode(env Envelope) ([]byte, error) {
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	if err := encodeInto(buf, env); err != nil {
-		return nil, err
+	c := getCoder()
+	defer putCoder(c)
+	c.e.envelope(env)
+	if c.e.err != nil {
+		return nil, c.e.err
 	}
-	return append([]byte(nil), buf.Bytes()...), nil
+	return append([]byte(nil), c.e.b...), nil
 }
 
 // Decode parses bytes produced by Encode back into an envelope. The
 // envelope shares no memory with data, which the caller may reuse.
 func Decode(data []byte) (Envelope, error) {
+	c := getCoder()
+	defer putCoder(c)
+	return c.d.envelope(data)
+}
+
+// envelope decodes data, an encoded envelope, with d.
+func (d *decoder) envelope(data []byte) (Envelope, error) {
 	if len(data) == 0 || data[0] != frameFormat {
 		return Envelope{}, errors.New("wire: decode: not a wire frame")
 	}
-	d := newDecoder(data[1:])
+	*d = newDecoder(data[1:])
 	var env Envelope
 	var err error
 	if env.From, err = d.endpoint(); err != nil {
@@ -177,17 +209,15 @@ func Decode(data []byte) (Envelope, error) {
 	if env.To, err = d.endpoint(); err != nil {
 		return Envelope{}, err
 	}
-	m, err := d.message()
-	if err != nil {
+	if env.Payload, err = d.message(); err != nil {
 		return Envelope{}, err
 	}
-	if !m.IsValid() {
+	if env.Payload == nil {
 		return Envelope{}, errors.New("wire: decode: nil payload")
 	}
 	if len(d.b) != 0 {
 		return Envelope{}, fmt.Errorf("wire: decode: %d bytes after the payload", len(d.b))
 	}
-	env.Payload = m.Interface().(Message)
 	return env, nil
 }
 
@@ -211,18 +241,6 @@ func EncodeMessage(m Message) ([]byte, error) {
 // DecodeMessage parses bytes produced by EncodeMessage.
 func DecodeMessage(data []byte) (Message, error) {
 	env, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return env.Payload, nil
-}
-
-// Clone deep-copies a message by round-tripping it through the codec. The
-// in-memory transport uses it so that a sender mutating its message after
-// Send can never alias receiver state — matching the value semantics of a
-// real network.
-func Clone(m Message) (Message, error) {
-	env, _, err := CloneEnvelope(Envelope{Payload: m})
 	if err != nil {
 		return nil, err
 	}
@@ -272,29 +290,37 @@ func ReadFrameInto(r io.Reader, buf []byte, max int) ([]byte, error) {
 }
 
 // maxPooledBuffer caps the capacity of buffers returned to the encode
-// pool; occasional outliers above it are left to the garbage collector so
+// pools; occasional outliers above it are left to the garbage collector so
 // one huge frame does not pin its allocation forever.
 const maxPooledBuffer = 4 << 20
 
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// GetBuffer returns an empty scratch buffer from the shared encode pool.
-//
-//hafw:hotpath
-func GetBuffer() *bytes.Buffer {
-	return bufPool.Get().(*bytes.Buffer)
+// coder is the scratch state of one Encode, Decode or CloneEnvelope. It is
+// pooled: the encoder's buffer keeps the capacity its largest encoding
+// needed, and neither the encoder nor the decoder, which every codec
+// function is handed, is allocated per call.
+type coder struct {
+	e encoder
+	d decoder
 }
 
-// PutBuffer returns a buffer obtained from GetBuffer to the pool. The
-// caller must not retain any slice aliasing the buffer's contents.
+var coderPool = sync.Pool{New: func() any { return new(coder) }}
+
+//hafw:hotpath
+func getCoder() *coder {
+	return coderPool.Get().(*coder)
+}
+
+// putCoder returns c to the pool, empty. The caller must not retain any
+// slice aliasing its buffer.
 //
 //hafw:hotpath
-func PutBuffer(b *bytes.Buffer) {
-	if b == nil || b.Cap() > maxPooledBuffer {
-		return
+func putCoder(c *coder) {
+	c.e = encoder{b: c.e.b[:0]}
+	if cap(c.e.b) > maxPooledBuffer {
+		c.e.b = nil
 	}
-	b.Reset()
-	bufPool.Put(b)
+	c.d = decoder{}
+	coderPool.Put(c)
 }
 
 // Frame is one envelope encoded for a stream transport: the 4-byte length
@@ -304,9 +330,9 @@ func PutBuffer(b *bytes.Buffer) {
 // change until the frame is released. Frames are pooled: the holder
 // releases each exactly once.
 type Frame struct {
-	// b is the length prefix and the inline bytes.
-	b    []byte
-	segs []segment
+	// e encoded the frame: e.b is the length prefix and the inline bytes,
+	// e.segs the out-of-line ones.
+	e encoder
 	// n is the frame's size, length prefix and segments included.
 	n int
 }
@@ -323,11 +349,11 @@ func (f *Frame) Len() int { return f.n }
 //hafw:hotpath
 func (f *Frame) AppendTo(v [][]byte) [][]byte {
 	at := 0
-	for _, s := range f.segs {
-		v = append(v, f.b[at:s.off], s.data)
+	for _, s := range f.e.segs {
+		v = append(v, f.e.b[at:s.off], s.data)
 		at = s.off
 	}
-	return append(v, f.b[at:])
+	return append(v, f.e.b[at:])
 }
 
 // Release returns the frame to the pool, dropping its references to the
@@ -336,10 +362,10 @@ func (f *Frame) AppendTo(v [][]byte) [][]byte {
 //
 //hafw:hotpath
 func (f *Frame) Release() {
-	clear(f.segs)
-	f.segs, f.n = f.segs[:0], 0
-	if cap(f.b) > maxPooledBuffer {
-		f.b = nil
+	clear(f.e.segs)
+	f.e.segs, f.e.err, f.n = f.e.segs[:0], nil, 0
+	if cap(f.e.b) > maxPooledBuffer {
+		f.e.b = nil
 	}
 	framePool.Put(f)
 }
@@ -352,15 +378,14 @@ func EncodeFrame(env Envelope, max int) (*Frame, error) {
 		max = MaxFrame
 	}
 	f := framePool.Get().(*Frame)
-	e := encoder{b: append(f.b[:0], zeros[:FrameHeader]...), frame: true, segs: f.segs[:0]}
-	e.envelope(env)
-	f.b, f.segs = e.b, e.segs
-	if e.err != nil {
+	f.e.b, f.e.frame = append(f.e.b[:0], zeros[:FrameHeader]...), true
+	f.e.envelope(env)
+	if err := f.e.err; err != nil {
 		f.Release()
-		return nil, e.err
+		return nil, err
 	}
-	n := len(f.b) - FrameHeader
-	for _, s := range f.segs {
+	n := len(f.e.b) - FrameHeader
+	for _, s := range f.e.segs {
 		n += len(s.data)
 	}
 	if n > max {
@@ -368,33 +393,23 @@ func EncodeFrame(env Envelope, max int) (*Frame, error) {
 		return nil, fmt.Errorf("wire: encoded %s of %d bytes exceeds max frame %d: %w",
 			env.Payload.WireName(), n, max, ErrFrameTooLarge)
 	}
-	binary.BigEndian.PutUint32(f.b, uint32(n))
+	binary.BigEndian.PutUint32(f.e.b, uint32(n))
 	f.n = FrameHeader + n
 	return f, nil
-}
-
-// encodeInto replaces the contents of an empty buf with env's encoding.
-// The encoder appends to buf's spare storage and the buffer then adopts
-// the result, wherever growth moved it, without a copy — so a pooled
-// buffer keeps the capacity its largest encoding needed.
-func encodeInto(buf *bytes.Buffer, env Envelope) error {
-	e := encoder{b: buf.AvailableBuffer()}
-	e.envelope(env)
-	*buf = *bytes.NewBuffer(e.b)
-	return e.err
 }
 
 // CloneEnvelope deep-copies an envelope through the codec and reports its
 // encoded size, which is exactly what a frame of it carries.
 func CloneEnvelope(env Envelope) (Envelope, int, error) {
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	if err := encodeInto(buf, env); err != nil {
-		return Envelope{}, 0, err
+	c := getCoder()
+	defer putCoder(c)
+	c.e.envelope(env)
+	if c.e.err != nil {
+		return Envelope{}, 0, c.e.err
 	}
-	out, err := Decode(buf.Bytes())
+	out, err := c.d.envelope(c.e.b)
 	if err != nil {
 		return Envelope{}, 0, err
 	}
-	return out, buf.Len(), nil
+	return out, len(c.e.b), nil
 }

@@ -89,14 +89,14 @@ func TestRegisterIdempotent(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	orig := testMsg{N: 1, List: []uint64{10, 20}}
-	cloned, err := Clone(orig)
+	cloned, _, err := CloneEnvelope(Envelope{Payload: orig})
 	if err != nil {
-		t.Fatalf("Clone: %v", err)
+		t.Fatalf("CloneEnvelope: %v", err)
 	}
-	cm := cloned.(testMsg)
+	cm := cloned.Payload.(testMsg)
 	cm.List[0] = 99
 	if orig.List[0] != 10 {
-		t.Error("Clone must not share backing arrays with the original")
+		t.Error("CloneEnvelope must not share backing arrays with the original")
 	}
 }
 
@@ -208,11 +208,11 @@ func TestEncodeFramePooled(t *testing.T) {
 	f2.Release()
 
 	// So must a recycled Encode buffer.
-	b := GetBuffer()
-	if b.Len() != 0 {
-		t.Errorf("pooled buffer not reset: %d bytes", b.Len())
+	c := getCoder()
+	if len(c.e.b) != 0 || c.e.err != nil || len(c.d.b) != 0 {
+		t.Errorf("pooled coder not reset: %d bytes, err %v", len(c.e.b), c.e.err)
 	}
-	PutBuffer(b)
+	putCoder(c)
 
 	if _, err := EncodeFrame(Envelope{}, 0); err == nil {
 		t.Error("EncodeFrame with nil payload should fail")
