@@ -1,7 +1,6 @@
-// Command halint runs the framework's static checkers (determinism,
-// lockcheck, wirecheck, tracecheck, lockorder, hotpath, leakcheck,
-// handlercheck; see DESIGN.md "Static analysis") over Go packages. It
-// supports two modes:
+// Command halint runs the framework's six static checkers (determinism,
+// handlercheck, hotpath, leakcheck, lockorder, wirecheck; see DESIGN.md
+// "Static analysis") over Go packages. It supports two modes:
 //
 //   - Standalone: `halint [-fix] [-writeschema] ./...` loads the named
 //     packages (plus dependencies, for fact propagation) and reports
@@ -48,9 +47,7 @@ import (
 	"hafw/internal/analyzers/handlercheck"
 	"hafw/internal/analyzers/hotpath"
 	"hafw/internal/analyzers/leakcheck"
-	"hafw/internal/analyzers/lockcheck"
 	"hafw/internal/analyzers/lockorder"
-	"hafw/internal/analyzers/tracecheck"
 	"hafw/internal/analyzers/wirecheck"
 )
 
@@ -59,9 +56,7 @@ var analyzers = []*analysis.Analyzer{
 	handlercheck.Analyzer,
 	hotpath.Analyzer,
 	leakcheck.Analyzer,
-	lockcheck.Analyzer,
 	lockorder.Analyzer,
-	tracecheck.Analyzer,
 	wirecheck.Analyzer,
 }
 

@@ -77,9 +77,9 @@ func IsMethodOf(fn *types.Func, pkgPath, typeName string) bool {
 	return named.Obj().Pkg().Path() == pkgPath && named.Obj().Name() == typeName
 }
 
-// RecvNamed returns the named type of fn's receiver (through one pointer
-// indirection), or nil.
-func RecvNamed(fn *types.Func) *types.Named {
+// RecvType returns the receiver type of method fn, or nil for a plain
+// function.
+func RecvType(fn *types.Func) types.Type {
 	if fn == nil {
 		return nil
 	}
@@ -87,7 +87,13 @@ func RecvNamed(fn *types.Func) *types.Named {
 	if !ok || sig.Recv() == nil {
 		return nil
 	}
-	t := sig.Recv().Type()
+	return sig.Recv().Type()
+}
+
+// RecvNamed returns the named type of fn's receiver (through one pointer
+// indirection), or nil.
+func RecvNamed(fn *types.Func) *types.Named {
+	t := RecvType(fn)
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}

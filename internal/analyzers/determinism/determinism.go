@@ -34,6 +34,7 @@ import (
 
 	"hafw/internal/analysis"
 	"hafw/internal/analyzers/astx"
+	"hafw/internal/analyzers/propagate"
 )
 
 // Directive marks a function whose call graph must be deterministic.
@@ -88,17 +89,6 @@ var bannedCalls = map[string]map[string]string{
 	},
 }
 
-type funcInfo struct {
-	fn     *types.Func
-	decl   *ast.FuncDecl
-	reason string        // first local nondeterminism reason, "" if clean
-	calls  []*types.Func // same-package static callees
-	root   bool          // carries the //hafw:deterministic directive
-	// fix is the mechanical repair for a locally fixable reason (an
-	// unsorted map-range append), applied by `halint -fix`.
-	fix *analysis.SuggestedFix
-}
-
 // clockBypass lists the time-package functions that read the wall clock
 // or start real timers — exactly what an injected clock.Clock abstracts.
 // Pure-value helpers (ParseDuration, Unix, Date) stay allowed.
@@ -116,64 +106,19 @@ var clockBypass = map[string]string{
 
 func run(pass *analysis.Pass) error {
 	checkSimClock(pass)
-	infos := make(map[*types.Func]*funcInfo)
-	var order []*types.Func
-
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			info := &funcInfo{fn: fn, decl: fd, root: astx.DocHasDirective(fd.Doc, Directive)}
-			scanBody(pass, fd.Body, info)
-			infos[fn] = info
-			order = append(order, fn)
+	propagate.Run[ImpureFact](pass, Directive, scanBody, func(f *propagate.Func) {
+		if f.Reason == "" {
+			return
 		}
-	}
-
-	// Fixpoint: propagate impurity through same-package call edges.
-	// Cross-package callees were already folded into `reason` by scanBody
-	// via imported facts (dependencies are analyzed first).
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range order {
-			info := infos[fn]
-			if info.reason != "" {
-				continue
-			}
-			for _, callee := range info.calls {
-				c := infos[callee]
-				if c != nil && c.reason != "" {
-					info.reason = fmt.Sprintf("calls %s, which %s", callee.Name(), c.reason)
-					changed = true
-					break
-				}
-			}
+		d := analysis.Diagnostic{
+			Pos:     f.Decl.Name.Pos(),
+			Message: fmt.Sprintf("%s is marked %s but %s", f.Fn.Name(), Directive, f.Reason),
 		}
-	}
-
-	for _, fn := range order {
-		info := infos[fn]
-		if info.reason != "" {
-			pass.ExportObjectFact(fn, &ImpureFact{Reason: info.reason})
+		if f.Fix != nil {
+			d.SuggestedFixes = []analysis.SuggestedFix{*f.Fix}
 		}
-		if info.root && info.reason != "" {
-			d := analysis.Diagnostic{
-				Pos: info.decl.Name.Pos(),
-				Message: fmt.Sprintf("%s is marked %s but %s",
-					fn.Name(), Directive, info.reason),
-			}
-			if info.fix != nil {
-				d.SuggestedFixes = []analysis.SuggestedFix{*info.fix}
-			}
-			pass.Report(d)
-		}
-	}
+		pass.Report(d)
+	})
 	return nil
 }
 
@@ -203,7 +148,7 @@ func checkSimClock(pass *analysis.Pass) {
 				return true
 			}
 			fn := astx.CalleeOf(pass.TypesInfo, call)
-			if fn == nil || astx.PkgPath(fn) != "time" || recvType(fn) != nil {
+			if fn == nil || astx.PkgPath(fn) != "time" || astx.RecvType(fn) != nil {
 				return true
 			}
 			if what, ok := clockBypass[fn.Name()]; ok {
@@ -219,29 +164,19 @@ func checkSimClock(pass *analysis.Pass) {
 }
 
 // scanBody records the first local nondeterminism reason and the static
-// same-package call edges of one function body. Function literals are
-// treated as part of the enclosing function: they either run inline
-// (sort comparators) or sit behind a `go` statement, which is itself
-// banned.
-func scanBody(pass *analysis.Pass, body *ast.BlockStmt, info *funcInfo) {
-	seen := make(map[*types.Func]bool)
-	note := func(reason string) {
-		if info.reason == "" {
-			info.reason = reason
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
+// calls of one function. Function literals are treated as part of the
+// enclosing function: they either run inline (sort comparators) or sit
+// behind a `go` statement, which is itself banned.
+func scanBody(pass *analysis.Pass, f *propagate.Func) {
+	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			note("spawns a goroutine (scheduling-dependent)")
+			f.Note("spawns a goroutine (scheduling-dependent)")
 		case *ast.SelectStmt:
-			note("uses select (scheduling-dependent choice)")
+			f.Note("uses select (scheduling-dependent choice)")
 		case *ast.RangeStmt:
-			if reason, fix := mapRangeReason(pass, n); reason != "" {
-				if info.reason == "" {
-					info.fix = fix
-				}
-				note(reason)
+			if reason, fix := mapRangeReason(pass, n); reason != "" && f.Note(reason) {
+				f.Fix = fix
 			}
 		case *ast.CallExpr:
 			fn := astx.CalleeOf(pass.TypesInfo, n)
@@ -249,57 +184,20 @@ func scanBody(pass *analysis.Pass, body *ast.BlockStmt, info *funcInfo) {
 				return true
 			}
 			pkgPath := astx.PkgPath(fn)
-			if recvType(fn) == nil {
+			if astx.RecvType(fn) == nil {
 				if reason, ok := bannedCalls[pkgPath][fn.Name()]; ok {
-					note(fmt.Sprintf("calls %s.%s, which %s", pkgPath, fn.Name(), reason))
+					f.Note(fmt.Sprintf("calls %s.%s, which %s", pkgPath, fn.Name(), reason))
 					return true
 				}
 				if pkgPath == "math/rand" || pkgPath == "math/rand/v2" {
-					note(fmt.Sprintf("calls %s.%s, which uses the global random source", pkgPath, fn.Name()))
+					f.Note(fmt.Sprintf("calls %s.%s, which uses the global random source", pkgPath, fn.Name()))
 					return true
 				}
 			}
-			recordEdge(pass, fn, info, seen)
+			f.Call(fn)
 		}
 		return true
 	})
-}
-
-// recordEdge files a call edge for impurity propagation. Same-package
-// callees join the fixpoint; callees of already-analyzed packages are
-// resolved immediately through facts; interface methods are unresolvable
-// statically and assumed deterministic (their concrete implementations
-// carry their own annotations); everything else (the rest of the standard
-// library) is assumed deterministic unless banned.
-func recordEdge(pass *analysis.Pass, fn *types.Func, info *funcInfo, seen map[*types.Func]bool) {
-	if seen[fn] {
-		return
-	}
-	seen[fn] = true
-	if rt := recvType(fn); rt != nil {
-		if astx.RecvNamed(fn) == nil {
-			return // receiver is not a named type; nothing to track
-		}
-		if types.IsInterface(rt) {
-			return // dynamic dispatch: unresolvable statically
-		}
-	}
-	if fn.Pkg() == pass.Pkg {
-		info.calls = append(info.calls, fn)
-		return
-	}
-	var impure ImpureFact
-	if pass.ImportObjectFact(fn, &impure) && info.reason == "" {
-		info.reason = fmt.Sprintf("calls %s.%s, which %s", astx.PkgPath(fn), fn.Name(), impure.Reason)
-	}
-}
-
-func recvType(fn *types.Func) types.Type {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	return sig.Recv().Type()
 }
 
 // mapRangeReason reports why a `range` over a map is order-sensitive: its

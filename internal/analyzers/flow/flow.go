@@ -1,8 +1,9 @@
 // Package flow is a small abstract interpreter over Go statement syntax,
-// shared by the lockcheck and tracecheck analyzers. It walks a function
-// body in execution order, threading a resource-tracking state through
-// branches, and reports the state at every return point (explicit returns
-// and falling off the end).
+// shared by the lockorder analyzer (held mutexes) and the leakcheck
+// analyzer (spans, timers and tickers still to be released). It walks a
+// function body in execution order, threading a resource-tracking state
+// through branches, and reports the state at every return point
+// (explicit returns and falling off the end).
 //
 // The interpretation is deliberately conservative and loop-free: loop
 // bodies are visited once, `break`/`continue`/`goto` end the current path
@@ -81,6 +82,13 @@ type Hooks struct {
 	// resources. Compound statements' bodies are walked by the driver;
 	// OnAtom must not descend into nested blocks itself.
 	OnAtom func(n ast.Node, st State)
+	// OnComm, if set, is called at the start of each select clause with
+	// the clause's communication (nil for default), after OnAtom has seen
+	// the whole select: what one case receives counts on its branch only.
+	OnComm func(comm ast.Stmt, st State)
+	// OnIterEnd, if set, is called with the state at the end of each loop
+	// body that falls through, before the next iteration could run.
+	OnIterEnd func(loop ast.Stmt, st State)
 	// OnExit is called at every function exit: each return statement and,
 	// if the end of the body is reachable, the closing brace. n is the
 	// *ast.ReturnStmt or the function's *ast.BlockStmt.
@@ -191,6 +199,7 @@ func (w walker) stmt(s ast.Stmt, st State) (State, bool) {
 			bodySt, _ = w.stmt(s.Post, bodySt)
 		}
 		if bodyCont {
+			w.iterEnd(s, bodySt)
 			return merge(st, bodySt), true
 		}
 		// The body never falls through; the loop is left via break or the
@@ -203,6 +212,7 @@ func (w walker) stmt(s ast.Stmt, st State) (State, bool) {
 		}
 		bodySt, bodyCont := w.stmts(s.Body.List, st.Clone())
 		if bodyCont {
+			w.iterEnd(s, bodySt)
 			return merge(st, bodySt), true
 		}
 		return st, true
@@ -218,7 +228,7 @@ func (w walker) stmt(s ast.Stmt, st State) (State, bool) {
 		if s.Tag != nil && !w.atom(s.Tag, st) {
 			return st, false
 		}
-		return w.clauses(clauseBodies(s.Body), hasDefaultClause(s.Body), st)
+		return w.clauses(clauseBodies(s.Body), nil, hasDefaultClause(s.Body), st)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
@@ -231,7 +241,7 @@ func (w walker) stmt(s ast.Stmt, st State) (State, bool) {
 		if !w.atom(s.Assign, st) {
 			return st, false
 		}
-		return w.clauses(clauseBodies(s.Body), hasDefaultClause(s.Body), st)
+		return w.clauses(clauseBodies(s.Body), nil, hasDefaultClause(s.Body), st)
 
 	case *ast.SelectStmt:
 		// The select itself is the blocking channel operation; analyzers
@@ -240,16 +250,18 @@ func (w walker) stmt(s ast.Stmt, st State) (State, bool) {
 			return st, false
 		}
 		var bodies [][]ast.Stmt
+		var comms []ast.Stmt
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
-				// The comm statement itself is part of the select the
-				// analyzer already saw; only the clause bodies are walked.
+				// The comm statement itself is part of the select OnAtom
+				// already saw; it reaches OnComm, not OnAtom, again.
 				bodies = append(bodies, cc.Body)
+				comms = append(comms, cc.Comm)
 			}
 		}
 		// A select without default blocks until some case runs: at least
 		// one branch is taken, so no fall-past-all-clauses path exists.
-		return w.clauses(bodies, true, st)
+		return w.clauses(bodies, comms, true, st)
 
 	default:
 		// Atomic statements: ExprStmt, AssignStmt, SendStmt, IncDecStmt,
@@ -258,14 +270,25 @@ func (w walker) stmt(s ast.Stmt, st State) (State, bool) {
 	}
 }
 
+func (w walker) iterEnd(loop ast.Stmt, st State) {
+	if w.h.OnIterEnd != nil {
+		w.h.OnIterEnd(loop, st)
+	}
+}
+
 // clauses interprets the bodies of switch/select clauses, merging the
-// continuing branches. If the statement has no default clause, the
-// entry state also continues (no clause may match).
-func (w walker) clauses(bodies [][]ast.Stmt, hasDefault bool, st State) (State, bool) {
+// continuing branches; comms, for a select, holds each clause's
+// communication. If the statement has no default clause, the entry
+// state also continues (no clause may match).
+func (w walker) clauses(bodies [][]ast.Stmt, comms []ast.Stmt, hasDefault bool, st State) (State, bool) {
 	var mergedSt State
 	cont := false
-	for _, body := range bodies {
-		bSt, bCont := w.stmts(body, st.Clone())
+	for i, body := range bodies {
+		bSt := st.Clone()
+		if comms != nil && w.h.OnComm != nil {
+			w.h.OnComm(comms[i], bSt)
+		}
+		bSt, bCont := w.stmts(body, bSt)
 		if !bCont {
 			continue
 		}

@@ -11,10 +11,10 @@
 // declaration. Inside a root the pass flags each allocating construct:
 // gob/reflect-based encoding, fmt formatting and string concatenation,
 // fresh `make([]byte, ...)` buffers that bypass the wire buffer pool, map
-// allocation inside loops, and explicit interface boxing. Like the
-// determinism pass it is interprocedural: functions that allocate export
-// an object fact, and a root whose static call graph reaches one is
-// reported with the offending chain. Loop-invariant buffer allocations
+// allocation inside loops, and explicit interface boxing. It shares the
+// determinism pass's interprocedural engine (package propagate):
+// functions that allocate export an object fact, and a root whose static
+// call graph reaches one is reported with the offending chain. Loop-invariant buffer allocations
 // get a suggested fix that hoists them out of the loop for reuse.
 package hotpath
 
@@ -26,6 +26,7 @@ import (
 
 	"hafw/internal/analysis"
 	"hafw/internal/analyzers/astx"
+	"hafw/internal/analyzers/propagate"
 )
 
 // Directive marks a function whose call graph must stay allocation-free.
@@ -65,126 +66,37 @@ var fmtAlloc = map[string]bool{
 	"Printf": true, "Print": true, "Println": true, "Appendf": true,
 }
 
-type funcInfo struct {
-	fn     *types.Func
-	decl   *ast.FuncDecl
-	reason string        // first local allocation reason, "" if clean
-	calls  []*types.Func // same-package static callees
-	root   bool          // carries the //hafw:hotpath directive
-}
-
 func run(pass *analysis.Pass) error {
-	infos := make(map[*types.Func]*funcInfo)
-	var order []*types.Func
-
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			info := &funcInfo{fn: fn, decl: fd, root: astx.DocHasDirective(fd.Doc, Directive)}
-			scanBody(pass, fd.Body, info)
-			infos[fn] = info
-			order = append(order, fn)
+	propagate.Run[AllocFact](pass, Directive, scanBody, func(f *propagate.Func) {
+		// Report each local allocation site (with fixes where
+		// mechanical), plus one chain diagnostic if a callee is the
+		// first offender.
+		if !reportSites(pass, f.Decl) && f.Reason != "" {
+			pass.Reportf(f.Decl.Name.Pos(), "%s is marked %s but %s", f.Fn.Name(), Directive, f.Reason)
 		}
-	}
-
-	// Fixpoint: propagate allocation through same-package call edges.
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range order {
-			info := infos[fn]
-			if info.reason != "" {
-				continue
-			}
-			for _, callee := range info.calls {
-				c := infos[callee]
-				if c != nil && c.reason != "" {
-					info.reason = fmt.Sprintf("calls %s, which %s", callee.Name(), c.reason)
-					changed = true
-					break
-				}
-			}
-		}
-	}
-
-	for _, fn := range order {
-		info := infos[fn]
-		if info.reason != "" {
-			pass.ExportObjectFact(fn, &AllocFact{Reason: info.reason})
-		}
-		if info.root {
-			// Report each local allocation site (with fixes where
-			// mechanical), plus one chain diagnostic if a callee is the
-			// first offender.
-			localReported := reportSites(pass, info.decl)
-			if info.reason != "" && !localReported {
-				pass.Reportf(info.decl.Name.Pos(), "%s is marked %s but %s",
-					fn.Name(), Directive, info.reason)
-			}
-		}
-	}
+	})
 	return nil
 }
 
 // scanBody records the first local allocation reason and the static
-// same-package call edges of one function body.
-func scanBody(pass *analysis.Pass, body *ast.BlockStmt, info *funcInfo) {
-	seen := make(map[*types.Func]bool)
-	note := func(reason string) {
-		if info.reason == "" {
-			info.reason = reason
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
+// calls of one function.
+func scanBody(pass *analysis.Pass, f *propagate.Func) {
+	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
 			if reason := concatReason(pass, n); reason != "" {
-				note(reason)
+				f.Note(reason)
 			}
 		case *ast.CallExpr:
 			if reason, _ := callAllocReason(pass, n, false); reason != "" {
-				note(reason)
+				f.Note(reason)
 			}
-			fn := astx.CalleeOf(pass.TypesInfo, n)
-			if fn == nil {
-				return true
+			if fn := astx.CalleeOf(pass.TypesInfo, n); fn != nil {
+				f.Call(fn)
 			}
-			recordEdge(pass, fn, info, seen)
 		}
 		return true
 	})
-}
-
-// recordEdge files a call edge for allocation propagation; mirrors the
-// determinism pass: interface methods and unanalyzed stdlib are assumed
-// clean unless explicitly banned.
-func recordEdge(pass *analysis.Pass, fn *types.Func, info *funcInfo, seen map[*types.Func]bool) {
-	if seen[fn] {
-		return
-	}
-	seen[fn] = true
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if astx.RecvNamed(fn) == nil {
-			return
-		}
-		if types.IsInterface(sig.Recv().Type()) {
-			return // dynamic dispatch: unresolvable statically
-		}
-	}
-	if fn.Pkg() == pass.Pkg {
-		info.calls = append(info.calls, fn)
-		return
-	}
-	var alloc AllocFact
-	if pass.ImportObjectFact(fn, &alloc) && info.reason == "" {
-		info.reason = fmt.Sprintf("calls %s.%s, which %s", astx.PkgPath(fn), fn.Name(), alloc.Reason)
-	}
 }
 
 // reportSites walks a hotpath root's body and reports every local

@@ -18,3 +18,7 @@ func TestCrossPackageForever(t *testing.T) {
 func TestDeferStopFix(t *testing.T) {
 	analysistest.RunWithSuggestedFixes(t, analysistest.TestData(), leakcheck.Analyzer, "leakfix")
 }
+
+func TestSpanEnd(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), leakcheck.Analyzer, "span", "obsspan")
+}

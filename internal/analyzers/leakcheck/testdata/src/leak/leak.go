@@ -4,6 +4,8 @@ package leak
 import (
 	"context"
 	"time"
+
+	"hafw/internal/clock"
 )
 
 // spin loops forever with no exit; go-calling it is a leak.
@@ -103,5 +105,66 @@ func DeadlinePoll(deadline time.Time, ch chan int) {
 			return
 		default:
 		}
+	}
+}
+
+// StopOneBranch stops the ticker on the early return only; the other
+// path leaves it running.
+func StopOneBranch(d time.Duration, early bool) {
+	t := time.NewTicker(d) // want `time\.NewTicker result t is never stopped; the ticker leaks — add defer t\.Stop\(\)`
+	if early {
+		t.Stop()
+		return
+	}
+	<-t.C
+}
+
+// ClockTickerLeak never stops a ticker from the injected clock.
+func ClockTickerLeak(ck clock.Clock, stop chan struct{}) {
+	ticker := ck.NewTicker(time.Second) // want `clock\.NewTicker result ticker is never stopped; the ticker leaks — add defer ticker\.Stop\(\)`
+	for {
+		select {
+		case <-ticker.C():
+		case <-stop:
+			return
+		}
+	}
+}
+
+// ClockTickerStopped is the stopped counterpart.
+func ClockTickerStopped(ck clock.Clock, stop chan struct{}) {
+	ticker := ck.NewTicker(time.Second)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ticker.C():
+		case <-stop:
+			return
+		}
+	}
+}
+
+// WaitOrNotify stops the timer when notified; on the other case the
+// timer has fired, so receiving from its C releases it.
+func WaitOrNotify(d time.Duration, notify chan int) bool {
+	timer := time.NewTimer(d)
+	select {
+	case <-notify:
+		timer.Stop()
+		return true
+	case <-timer.C:
+		return false
+	}
+}
+
+// ClockWaitOrStop is WaitOrNotify on the injected clock.
+func ClockWaitOrStop(ck clock.Clock, stop chan struct{}) bool {
+	t := ck.NewTimer(time.Second)
+	select {
+	case <-t.C():
+		return true
+	case <-stop:
+		t.Stop()
+		return false
 	}
 }

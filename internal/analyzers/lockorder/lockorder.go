@@ -1,27 +1,38 @@
-// Package lockorder implements the halint pass that detects potential
-// lock-order deadlocks. Where lockcheck polices single-function locking
-// hygiene (release on every path, no blocking under a mutex), lockorder
-// builds a global lock-acquisition graph: an edge A → B means some code
-// path acquires mutex B while holding mutex A. Two paths that acquire the
-// same pair of mutexes in opposite orders can deadlock under concurrency
-// even though each path is individually correct — the classic bug class a
-// data-path refactor (batching, sharded sequencing) introduces, and one
-// that -race does not reliably catch because it requires the interleaving
-// to actually occur.
+// Package lockorder implements the halint pass that guards the
+// framework's locking discipline. The GCS stack (core, vsync, gcs) keeps
+// blocking work out of critical sections and acquires its mutexes in one
+// global order; one walk of every function body with its held-lock state
+// checks three rules:
 //
-// Mutex identity is package-scoped and type-scoped: a mutex field is named
-// by the struct type that declares it ("pkg.(Type).field"), a package-level
-// mutex by its variable name ("pkg.var"). Two instances of the same struct
-// therefore share one graph node; that is deliberate — the codebase's lock
-// hierarchy (DESIGN.md "Lock hierarchy") is defined over types, and
-// self-edges on a type-level node are reported as potential self-deadlock.
+//   - Release: every Lock is paired with an Unlock on every return path
+//     of the same function (with a mechanical `defer mu.Unlock()` fix).
+//     The codebase's convention is that a function either owns the whole
+//     lock/unlock pair or is a `...Locked` helper that takes the mutex as
+//     a precondition, so single-function analysis matches the discipline.
+//   - Blocking: a sync.Mutex or sync.RWMutex is never held across a
+//     channel send, receive or select, or a transport Send, Broadcast or
+//     Dial; either can block indefinitely (under a view change, forever).
+//   - Order: an edge A → B in the global lock-acquisition graph means
+//     some path acquires mutex B while holding mutex A. Two paths that
+//     acquire the same pair in opposite orders can deadlock under
+//     concurrency even though each is individually correct, and -race
+//     does not reliably catch it because the interleaving must occur.
 //
-// The analysis is interprocedural: each function's transitively acquired
-// lock set is exported as an object fact, so a call made while holding a
-// mutex contributes edges to everything the callee (even in another
-// package) may acquire. Per-package edge lists are folded forward through
-// package facts, and each package reports any cycle that one of its own
-// edges completes, with a concrete witness path.
+// Release and blocking are keyed by the receiver expression as written
+// (`s.mu`, with R/W mode). Order is keyed by package- and type-scoped
+// mutex identity: a mutex field is named by the struct type that declares
+// it ("pkg.(Type).field"), a package-level mutex by its variable name
+// ("pkg.var"). Two instances of the same struct therefore share one graph
+// node; that is deliberate — the codebase's lock hierarchy (DESIGN.md
+// "Lock hierarchy") is defined over types, and self-edges on a type-level
+// node are reported as potential self-deadlock.
+//
+// The order check is interprocedural: each function's transitively
+// acquired lock set is exported as an object fact, so a call made while
+// holding a mutex contributes edges to everything the callee (even in
+// another package) may acquire. Per-package edge lists are folded forward
+// through package facts, and each package reports any cycle that one of
+// its own edges completes, with a concrete witness path.
 package lockorder
 
 import (
@@ -40,7 +51,7 @@ import (
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockorder",
-	Doc:       "builds the global lock-acquisition graph across packages and reports lock-order cycles (potential deadlocks) with a witness path",
+	Doc:       "checks that mutexes are released on every return path and never held across channel operations or transport calls, and builds the global lock-acquisition graph across packages to report lock-order cycles (potential deadlocks) with a witness path",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*AcquiresFact)(nil), (*GraphFact)(nil)},
 }
@@ -70,6 +81,11 @@ type GraphFact struct {
 
 // AFact implements analysis.Fact.
 func (*GraphFact) AFact() {}
+
+// releaseOf maps each sync acquire method to its release.
+var releaseOf = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
+
+func isRelease(name string) bool { return name == "Unlock" || name == "RUnlock" }
 
 // funcInfo is the per-function analysis state.
 type funcInfo struct {
@@ -127,9 +143,9 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	// Second pass: walk each function with the held-lock state, emitting
-	// edges for direct acquisitions and for calls into lock-acquiring
-	// callees.
+	// Second pass: walk each function with the held-lock state, reporting
+	// release and blocking findings and emitting edges for direct
+	// acquisitions and for calls into lock-acquiring callees.
 	var own []Edge
 	seenEdge := make(map[string]bool)
 	addEdge := func(e Edge) {
@@ -141,18 +157,16 @@ func run(pass *analysis.Pass) error {
 		own = append(own, e)
 	}
 	for _, info := range infos {
-		walkEdges(pass, info, byFunc, addEdge)
+		walk(pass, info.fn.Name(), info.body, byFunc, addEdge)
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			fl, ok := n.(*ast.FuncLit)
-			if !ok {
-				return true
+			if fl, ok := n.(*ast.FuncLit); ok {
+				// Each literal (goroutine body, callback) is its own
+				// function: checked and contributing edges, but without
+				// facts, since it has no addressable object.
+				walk(pass, "a function literal", fl.Body, byFunc, addEdge)
 			}
-			// Function literals (goroutine bodies, callbacks) contribute
-			// edges but no facts: they have no addressable object.
-			lit := &funcInfo{body: fl.Body, acquires: make(map[string]bool)}
-			walkEdges(pass, lit, byFunc, addEdge)
 			return true
 		})
 	}
@@ -201,7 +215,7 @@ func collect(pass *analysis.Pass, body *ast.BlockStmt, info *funcInfo) {
 			return true // arguments still evaluate synchronously: descend
 		}
 		if fn := mutexMethod(pass, call); fn != nil {
-			if isAcquire(fn.Name()) {
+			if releaseOf[fn.Name()] != "" {
 				if id := LockIdentity(pass, call); id != "" {
 					info.acquires[id] = true
 				}
@@ -213,7 +227,7 @@ func collect(pass *analysis.Pass, body *ast.BlockStmt, info *funcInfo) {
 			return true
 		}
 		seen[fn] = true
-		if rt := recvType(fn); rt != nil && types.IsInterface(rt) {
+		if rt := astx.RecvType(fn); rt != nil && types.IsInterface(rt) {
 			return true // dynamic dispatch: unresolvable statically
 		}
 		if fn.Pkg() == pass.Pkg {
@@ -230,102 +244,232 @@ func collect(pass *analysis.Pass, body *ast.BlockStmt, info *funcInfo) {
 	})
 }
 
-// walkEdges interprets one function body with the held-lock state and
-// emits acquisition-order edges (pass 2).
-func walkEdges(pass *analysis.Pass, info *funcInfo, byFunc map[*types.Func]*funcInfo, addEdge func(Edge)) {
-	name := "a function literal"
-	if info.fn != nil {
-		name = info.fn.Name()
+// lockInfo is the flow.Hold payload for one acquired mutex.
+type lockInfo struct {
+	key     string    // the flow.State key: lockKey of the receiver
+	id      string    // LockIdentity; "" keeps the lock out of the order graph
+	pos     token.Pos // the Lock/RLock call
+	at      string    // pos rendered for diagnostics
+	stmtEnd token.Pos // end of the acquiring statement (NoPos if nested)
+	call    string    // rendered "s.mu.Lock()"
+	unlock  string    // rendered "s.mu.Unlock()"
+	recv    string    // rendered receiver, e.g. "s.mu"
+}
+
+// walker interprets one function body with the held-lock state (pass 2).
+type walker struct {
+	pass    *analysis.Pass
+	name    string // the function, as named in order diagnostics
+	byFunc  map[*types.Func]*funcInfo
+	addEdge func(Edge)
+	goCalls map[*ast.CallExpr]bool
+	// untracked collects mutexes manipulated in ways the walker cannot
+	// follow (TryLock): no release or blocking findings for them rather
+	// than a guess. hasUnlock records mutexes the function releases by
+	// hand somewhere; the defer-insertion fix is only safe without one.
+	untracked, hasUnlock map[string]bool
+	// One release finding per Lock call, one re-entrancy finding per call.
+	released, reentered map[token.Pos]bool
+}
+
+func walk(pass *analysis.Pass, name string, body *ast.BlockStmt, byFunc map[*types.Func]*funcInfo, addEdge func(Edge)) {
+	goCalls, _ := goSpawned(body)
+	w := &walker{
+		pass: pass, name: name, byFunc: byFunc, addEdge: addEdge, goCalls: goCalls,
+		untracked: make(map[string]bool), hasUnlock: make(map[string]bool),
+		released: make(map[token.Pos]bool), reentered: make(map[token.Pos]bool),
 	}
-	goCalls, _ := goSpawned(info.body)
-	reportedSelf := make(map[token.Pos]bool)
-	flow.Walk(info.body, flow.Hooks{
-		OnExit: func(ast.Node, flow.State) {},
-		OnAtom: func(n ast.Node, st flow.State) {
-			astx.InspectNoFuncLit(n, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := mutexMethod(pass, call); fn != nil {
+				switch name := fn.Name(); {
+				case name == "TryLock" || name == "TryRLock":
+					w.untracked[lockKey(pass, call, fn)] = true
+				case isRelease(name):
+					w.hasUnlock[lockKey(pass, call, fn)] = true
 				}
-				if goCalls[call] {
-					return true // runs on a fresh goroutine: no held locks
-				}
-				if fn := mutexMethod(pass, call); fn != nil {
-					id := LockIdentity(pass, call)
-					if id == "" {
-						return true
-					}
-					switch {
-					case isAcquire(fn.Name()):
-						for held := range st {
-							if held == id {
-								if !reportedSelf[call.Pos()] {
-									reportedSelf[call.Pos()] = true
-									pass.Reportf(call.Pos(),
-										"%s acquires %s while already holding it (acquired at %s); a re-entrant acquisition self-deadlocks, and two instances locked without a canonical order can deadlock against each other",
-										name, id, st[held].Data.(string))
-								}
-								continue
-							}
-							addEdge(Edge{
-								From: held,
-								To:   id,
-								Pos:  pass.Fset.Position(call.Pos()).String(),
-								Via:  name,
-							})
-						}
-						st[id] = flow.Hold{Level: flow.Definitely, Data: pass.Fset.Position(call.Pos()).String()}
-					case isRelease(fn.Name()):
-						if _, ok := n.(*ast.DeferStmt); ok {
-							// Deferred release: held until return, so later
-							// acquisitions still order after this one.
-							if h, ok := st[id]; ok {
-								h.Deferred = true
-								st[id] = h
-							}
-						} else {
-							delete(st, id)
-						}
-					}
-					return true
-				}
-				callee := astx.CalleeOf(pass.TypesInfo, call)
-				if callee == nil || len(st) == 0 {
-					return true
-				}
-				if rt := recvType(callee); rt != nil && types.IsInterface(rt) {
-					return true
-				}
-				var locks []string
-				if callee.Pkg() == pass.Pkg {
-					if ci, ok := byFunc[callee]; ok {
-						locks = sortedKeys(ci.acquires)
-					}
-				} else {
-					var acq AcquiresFact
-					if pass.ImportObjectFact(callee, &acq) {
-						locks = acq.Locks
-					}
-				}
-				pos := pass.Fset.Position(call.Pos()).String()
-				for _, l := range locks {
-					for held := range st {
-						if held == l {
-							if !reportedSelf[call.Pos()] {
-								reportedSelf[call.Pos()] = true
-								pass.Reportf(call.Pos(),
-									"%s calls %s, which may acquire %s, while holding it (acquired at %s); sync mutexes are not reentrant",
-									name, callee.Name(), l, st[held].Data.(string))
-							}
-							continue
-						}
-						addEdge(Edge{From: held, To: l, Pos: pos, Via: name + " → " + callee.Name()})
-					}
-				}
-				return true
-			})
-		},
+			}
+		}
+		return true
 	})
+	flow.Walk(body, flow.Hooks{
+		OnAtom:     w.atom,
+		OnExit:     w.exit,
+		Terminates: func(n ast.Node) bool { return terminates(pass, n) },
+	})
+}
+
+// held returns the payloads of st in key order, so findings and edges do
+// not depend on map iteration.
+func held(st flow.State) []*lockInfo {
+	out := make([]*lockInfo, 0, len(st))
+	for _, h := range st {
+		out = append(out, h.Data.(*lockInfo))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
+// blocker returns the held lock that blocking findings name, or nil.
+func (w *walker) blocker(st flow.State) *lockInfo {
+	for _, li := range held(st) {
+		if !w.untracked[li.key] {
+			return li
+		}
+	}
+	return nil
+}
+
+// atom interprets one atomic statement: acquires and releases mutexes,
+// adds order edges, and reports blocking operations under a mutex.
+func (w *walker) atom(n ast.Node, st flow.State) {
+	pass := w.pass
+	if sel, ok := n.(*ast.SelectStmt); ok {
+		if li := w.blocker(st); li != nil {
+			pass.Reportf(sel.Pos(), "select while %s is held (acquired at %s); blocking channel operations must not run under a mutex",
+				li.recv, li.at)
+		}
+		return
+	}
+	// Scan the atom's subtree (sans function literals, which run later).
+	astx.InspectNoFuncLit(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.SendStmt:
+			if li := w.blocker(st); li != nil {
+				pass.Reportf(m.Arrow, "channel send while %s is held (acquired at %s)", li.recv, li.at)
+			}
+		case *ast.UnaryExpr:
+			if m.Op != token.ARROW {
+				break
+			}
+			if li := w.blocker(st); li != nil {
+				pass.Reportf(m.OpPos, "channel receive while %s is held (acquired at %s)", li.recv, li.at)
+			}
+		case *ast.CallExpr:
+			w.call(n, m, st)
+		}
+		return true
+	})
+}
+
+// call interprets one call inside atom n.
+func (w *walker) call(n ast.Node, call *ast.CallExpr, st flow.State) {
+	pass := w.pass
+	callee := astx.CalleeOf(pass.TypesInfo, call)
+	if callee != nil && isTransportCall(callee) && !inTransportLayer(pass.Pkg.Path()) {
+		if li := w.blocker(st); li != nil {
+			pass.Reportf(call.Pos(), "transport call %s while %s is held (acquired at %s); transport I/O can block and must not run under a mutex",
+				callee.Name(), li.recv, li.at)
+		}
+	}
+	if w.goCalls[call] {
+		return // runs on a fresh goroutine: no held locks
+	}
+	if fn := mutexMethod(pass, call); fn != nil {
+		key := lockKey(pass, call, fn)
+		switch {
+		case releaseOf[fn.Name()] != "":
+			id := LockIdentity(pass, call)
+			if id != "" {
+				w.order(call, []string{id}, "", st)
+			}
+			recv := astx.ExprString(pass.Fset, astx.RecvOf(call))
+			stmtEnd := token.NoPos
+			if es, ok := n.(*ast.ExprStmt); ok && es.X == ast.Expr(call) {
+				stmtEnd = es.End()
+			}
+			st[key] = flow.Hold{Level: flow.Definitely, Data: &lockInfo{
+				key: key, id: id, pos: call.Pos(), at: pass.Fset.Position(call.Pos()).String(), stmtEnd: stmtEnd,
+				call: recv + "." + fn.Name() + "()", unlock: recv + "." + releaseOf[fn.Name()] + "()", recv: recv,
+			}}
+		case isRelease(fn.Name()):
+			if _, ok := n.(*ast.DeferStmt); !ok {
+				delete(st, key)
+			} else if h, ok := st[key]; ok {
+				// Deferred release covers every exit, and the lock is held
+				// until return: later acquisitions still order after it.
+				h.Deferred = true
+				st[key] = h
+			}
+		}
+		return
+	}
+	if callee == nil || len(st) == 0 {
+		return
+	}
+	if rt := astx.RecvType(callee); rt != nil && types.IsInterface(rt) {
+		return
+	}
+	var locks []string
+	if callee.Pkg() == pass.Pkg {
+		if ci, ok := w.byFunc[callee]; ok {
+			locks = sortedKeys(ci.acquires)
+		}
+	} else {
+		var acq AcquiresFact
+		if pass.ImportObjectFact(callee, &acq) {
+			locks = acq.Locks
+		}
+	}
+	w.order(call, locks, callee.Name(), st)
+}
+
+// order adds the edges from every held lock to each lock the call
+// acquires — directly (callee "") or through callee — and reports a lock
+// acquired while already held.
+func (w *walker) order(call *ast.CallExpr, locks []string, callee string, st flow.State) {
+	pos := w.pass.Fset.Position(call.Pos()).String()
+	for _, l := range locks {
+		for _, h := range held(st) {
+			switch {
+			case h.id == "":
+			case h.id != l:
+				via := w.name
+				if callee != "" {
+					via += " → " + callee
+				}
+				w.addEdge(Edge{From: h.id, To: l, Pos: pos, Via: via})
+			case w.reentered[call.Pos()]:
+			case callee == "":
+				w.reentered[call.Pos()] = true
+				w.pass.Reportf(call.Pos(),
+					"%s acquires %s while already holding it (acquired at %s); a re-entrant acquisition self-deadlocks, and two instances locked without a canonical order can deadlock against each other",
+					w.name, l, h.at)
+			default:
+				w.reentered[call.Pos()] = true
+				w.pass.Reportf(call.Pos(),
+					"%s calls %s, which may acquire %s, while holding it (acquired at %s); sync mutexes are not reentrant",
+					w.name, callee, l, h.at)
+			}
+		}
+	}
+}
+
+// exit reports each mutex definitely held, and not released by a defer,
+// at a return.
+func (w *walker) exit(_ ast.Node, st flow.State) {
+	for _, li := range held(st) {
+		h := st[li.key]
+		if h.Level != flow.Definitely || h.Deferred || w.untracked[li.key] || w.released[li.pos] {
+			continue
+		}
+		w.released[li.pos] = true
+		d := analysis.Diagnostic{
+			Pos:     li.pos,
+			Message: fmt.Sprintf("%s is not released on every return path; unlock or use defer %s", li.call, li.unlock),
+		}
+		if !w.hasUnlock[li.key] && li.stmtEnd.IsValid() {
+			d.SuggestedFixes = []analysis.SuggestedFix{{
+				Message: fmt.Sprintf("defer %s after the %s", li.unlock, li.call),
+				TextEdits: []analysis.TextEdit{{
+					Pos:     li.stmtEnd,
+					End:     li.stmtEnd,
+					NewText: []byte(astx.Indent(w.pass.Fset, li.pos) + "defer " + li.unlock),
+				}},
+			}}
+		}
+		w.pass.Report(d)
+	}
 }
 
 // goSpawned indexes the call expressions (and literal callees) of every
@@ -485,9 +629,6 @@ func namedOf(t types.Type) *types.Named {
 	return named
 }
 
-func isAcquire(name string) bool { return name == "Lock" || name == "RLock" }
-func isRelease(name string) bool { return name == "Unlock" || name == "RUnlock" }
-
 // mutexMethod resolves a call to a sync.Mutex/RWMutex method (directly or
 // through an embedded field), or nil.
 func mutexMethod(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
@@ -506,14 +647,6 @@ func mutexMethod(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-func recvType(fn *types.Func) types.Type {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	return sig.Recv().Type()
-}
-
 func sortedKeys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -521,4 +654,93 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// lockKey canonicalizes the guarded mutex: the receiver expression
+// rendered as source, plus R/W mode so RLock pairs with RUnlock.
+func lockKey(pass *analysis.Pass, call *ast.CallExpr, fn *types.Func) string {
+	mode := "w"
+	if strings.HasPrefix(fn.Name(), "R") && fn.Name() != "RLocker" {
+		mode = "r"
+	}
+	return astx.ExprString(pass.Fset, astx.RecvOf(call)) + "/" + mode
+}
+
+// isTransportCall reports whether fn is a blocking entry point of the
+// transport layer (declared in hafw/internal/transport or one of its
+// backends). Only the I/O surface counts: queries like Crashed or
+// Connected return immediately and are safe under a mutex.
+func isTransportCall(fn *types.Func) bool {
+	switch fn.Name() {
+	case "Send", "Broadcast", "Dial":
+	default:
+		return false
+	}
+	if fn.Pkg() == nil {
+		return false
+	}
+	paths := []string{fn.Pkg().Path()}
+	if named := astx.RecvNamed(fn); named != nil && named.Obj().Pkg() != nil {
+		paths = append(paths, named.Obj().Pkg().Path())
+	}
+	for _, p := range paths {
+		if inTransportLayer(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// inTransportLayer reports whether the package path is part of the
+// transport layer itself; its internals manage their own locking and are
+// not judged against the "no transport calls under a mutex" rule.
+func inTransportLayer(path string) bool {
+	return astx.ModulePathSuffix(path, "internal/transport") ||
+		astx.ModulePathSuffix(path, "internal/transport/memnet") ||
+		astx.ModulePathSuffix(path, "internal/transport/tcpnet")
+}
+
+// terminates reports whether the atom unconditionally ends the path:
+// panic, os.Exit, runtime.Goexit, log.Fatal*, or a testing.T method that
+// stops the test goroutine (Fatal, FailNow, Skip and kin).
+func terminates(pass *analysis.Pass, n ast.Node) bool {
+	es, ok := n.(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
+			return true
+		}
+	}
+	fn := astx.CalleeOf(pass.TypesInfo, call)
+	if fn == nil {
+		return false
+	}
+	switch {
+	case astx.IsFunc(fn, "os", "Exit"),
+		astx.IsFunc(fn, "runtime", "Goexit"),
+		astx.IsFunc(fn, "log", "Fatal"),
+		astx.IsFunc(fn, "log", "Fatalf"),
+		astx.IsFunc(fn, "log", "Fatalln"):
+		return true
+	}
+	named := astx.RecvNamed(fn)
+	if named == nil || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "testing" {
+		return false
+	}
+	switch named.Obj().Name() {
+	case "T", "B", "F", "common":
+	default:
+		return false
+	}
+	switch fn.Name() {
+	case "Fatal", "Fatalf", "FailNow", "Skip", "Skipf", "SkipNow":
+		return true
+	}
+	return false
 }

@@ -14,3 +14,11 @@ func TestLockOrder(t *testing.T) {
 func TestCrossPackageCycle(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "cyca", "cycb")
 }
+
+func TestReleaseAndBlocking(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "lock")
+}
+
+func TestDeferUnlockFix(t *testing.T) {
+	analysistest.RunWithSuggestedFixes(t, analysistest.TestData(), lockorder.Analyzer, "lockfix")
+}

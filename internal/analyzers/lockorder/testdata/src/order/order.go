@@ -82,3 +82,12 @@ func spawnWhileHeld(x *X) {
 	}()
 	x.n++
 }
+
+// twoInstances locks two X values. The order graph has one node per type,
+// so the second Lock is a re-entrant acquisition; release is tracked per
+// receiver expression, so unlocking a.mu leaves b.mu held at the return.
+func twoInstances(a, b *X) {
+	a.mu.Lock()
+	b.mu.Lock() // want `twoInstances acquires order\.\(X\)\.mu while already holding it` `b\.mu\.Lock\(\) is not released on every return path`
+	a.mu.Unlock()
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -331,26 +330,6 @@ func unitDirName(unit ids.UnitName) string {
 	return strings.ReplaceAll(string(unit), "/", "_")
 }
 
-var debugExchange = os.Getenv("HAFW_DEBUG_EXCHANGE") != ""
-
-// describeOffers renders an offer map compactly for exchange debugging.
-func describeOffers(offers map[ids.ProcessID]unitdb.Offer) string {
-	var b strings.Builder
-	ps := make([]ids.ProcessID, 0, len(offers))
-	for p := range offers {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	for _, p := range ps {
-		fmt.Fprintf(&b, " p%d{", p)
-		for _, e := range offers[p].Stamps {
-			fmt.Fprintf(&b, "%d:s%d/h%04x ", e.ID, e.Stamp, e.Hash&0xffff)
-		}
-		fmt.Fprintf(&b, "}")
-	}
-	return b.String()
-}
-
 // hasPeers reports whether world names any process other than self.
 func hasPeers(world []ids.ProcessID, self ids.ProcessID) bool {
 	for _, p := range world {
@@ -545,10 +524,6 @@ func (s *Server) checkPendingLocked(u *unitState, sid ids.SessionID) {
 func (s *Server) onContentViewLocked(u *unitState, ev gcs.ViewEvent, tc wire.TraceContext) {
 	u.view = ev.View
 	s.reg.Counter("content_views").Inc()
-	if debugExchange {
-		fmt.Fprintf(os.Stderr, "XCHG p%d view=%v/%d members=%v joined=%v left=%v exch=%v needSync=%v\n",
-			s.cfg.Self, ev.View.ID.PV, ev.View.ID.N, ev.View.Members, ev.Joined, ev.Left, u.exch != nil, u.needSync)
-	}
 	if len(ev.Joined) > 0 || u.exch != nil {
 		// Joiners present (or a superseded exchange must be restarted):
 		// exchange per-session stamp vectors first; the deltas follow once
@@ -569,10 +544,6 @@ func (s *Server) onContentViewLocked(u *unitState, ev gcs.ViewEvent, tc wire.Tra
 			ctx := live.app.Snapshot()
 			if bytes.Equal(ctx, sess.Context) {
 				continue
-			}
-			if debugExchange {
-				fmt.Fprintf(os.Stderr, "FOLD p%d sid=%d role=%d app=%d db=%d stamp=%d\n",
-					s.cfg.Self, sid, live.role, len(ctx), len(sess.Context), sess.Stamp)
 			}
 			next := sess.Stamp + 1
 			if u.db.UpdateContext(sid, ctx, next) {
@@ -789,14 +760,6 @@ func (s *Server) onStateOfferLocked(u *unitState, from ids.EndpointID, msg State
 		Unit: u.cfg.Unit, ViewPV: u.exch.viewPV, ViewN: u.exch.viewN,
 		Snap: u.db.DeltaFor(s.cfg.Self, u.exch.offers),
 	}
-	if debugExchange {
-		var sids []ids.SessionID
-		for _, sess := range delta.Snap.Sessions {
-			sids = append(sids, sess.ID)
-		}
-		fmt.Fprintf(os.Stderr, "XCHG p%d view=%v/%d delta sids=%v offers=%v\n",
-			s.cfg.Self, u.exch.viewPV, u.exch.viewN, sids, describeOffers(u.exch.offers))
-	}
 	s.noteStateBytes("state_bytes_sent", delta)
 	s.reg.Counter("state_sessions_sent").Add(uint64(len(delta.Snap.Sessions)))
 	_ = s.proc.MulticastTC(ContentGroup(u.cfg.Unit), delta, u.exch.tc)
@@ -878,14 +841,6 @@ func (s *Server) onStateDeltaLocked(u *unitState, from ids.EndpointID, msg State
 	// migrating some sessions away from live primaries.
 	changes := u.db.ReallocateBalanced(members, u.cfg.Backups)
 	s.applyChangesLocked(u, changes, exchTC)
-	if debugExchange {
-		var desc strings.Builder
-		for _, sess := range u.db.Sessions() {
-			fmt.Fprintf(&desc, "[%d prim=%d stamp=%d] ", sess.ID, sess.Primary, sess.Stamp)
-		}
-		fmt.Fprintf(os.Stderr, "XCHG p%d view=%v/%d merged -> %s\n",
-			s.cfg.Self, msg.ViewPV, msg.ViewN, desc.String())
-	}
 }
 
 func (s *Server) onSessionMsgLocked(u *unitState, sid ids.SessionID, ev gcs.MessageEvent) {

@@ -193,7 +193,7 @@ func (t *Tracer) Dropped() uint64 {
 
 // Span is one in-flight operation. Like trace.Span, a span must be ended
 // exactly once on every path leaving the function that started it — the
-// tracecheck analyzer (cmd/halint) enforces this. Spans are not safe for
+// leakcheck analyzer (cmd/halint) enforces this. Spans are not safe for
 // concurrent use; pass ownership, don't share.
 type Span struct {
 	t     *Tracer

@@ -11,16 +11,12 @@ func TestSpanRecordsDuration(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	sp.End()
 
-	durs := r.SpanDurations("op")
-	if len(durs) != 1 {
-		t.Fatalf("SpanDurations = %v, want one entry", durs)
-	}
-	if durs[0] <= 0 {
-		t.Fatalf("span duration = %v, want > 0", durs[0])
-	}
 	evs := r.Events()
-	if len(evs) != 1 || evs[0].Kind != KindSpan || evs[0].Session != 7 || evs[0].Node != 1 {
+	if len(evs) != 1 || evs[0].Kind != KindSpan || evs[0].Session != 7 || evs[0].Node != 1 || evs[0].Detail != "op" {
 		t.Fatalf("recorded event = %+v", evs)
+	}
+	if evs[0].Dur <= 0 {
+		t.Fatalf("span duration = %v, want > 0", evs[0].Dur)
 	}
 }
 
@@ -38,16 +34,4 @@ func TestSpanNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	sp := r.StartSpan(1, 0, "op")
 	sp.End() // must not panic
-}
-
-func TestSpanDurationsFilter(t *testing.T) {
-	r := NewRecorder()
-	r.StartSpan(1, 0, "a").End()
-	r.StartSpan(1, 0, "b").End()
-	if got := len(r.SpanDurations("a")); got != 1 {
-		t.Fatalf("SpanDurations(a) has %d entries, want 1", got)
-	}
-	if got := len(r.SpanDurations("")); got != 2 {
-		t.Fatalf("SpanDurations(\"\") has %d entries, want 2", got)
-	}
 }

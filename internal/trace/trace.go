@@ -142,7 +142,7 @@ func (r *Recorder) Record(node ids.ProcessID, kind Kind, session ids.SessionID, 
 
 // Span is one in-flight timed operation opened by StartSpan. A span must
 // be ended exactly once, on every code path that leaves the function that
-// started it — the tracecheck analyzer (cmd/halint) enforces this. Spans
+// started it — the leakcheck analyzer (cmd/halint) enforces this. Spans
 // are not safe for concurrent use; pass ownership, don't share.
 type Span struct {
 	r       *Recorder
@@ -176,20 +176,6 @@ func (s *Span) End() {
 		At: time.Now(), Node: s.node, Kind: KindSpan, Session: s.session,
 		Detail: s.detail, Dur: time.Since(s.start),
 	})
-}
-
-// SpanDurations returns the durations of all completed spans whose detail
-// matches (all spans if detail is empty), in record order.
-func (r *Recorder) SpanDurations(detail string) []time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []time.Duration
-	for _, e := range r.orderedLocked() {
-		if e.Kind == KindSpan && (detail == "" || e.Detail == detail) {
-			out = append(out, e.Dur)
-		}
-	}
-	return out
 }
 
 // Events returns a copy of everything retained, in record order.
@@ -356,37 +342,4 @@ func overlap(a, b Interval, now time.Time) time.Duration {
 		return 0
 	}
 	return end.Sub(start)
-}
-
-// UnavailabilityWindows returns, per session, the gaps during which no
-// node at all was primary (the paper's "temporary loss of service").
-// Open intervals extend to the `until` instant.
-func UnavailabilityWindows(events []Event, until time.Time) map[ids.SessionID][]time.Duration {
-	ivs := PrimaryIntervals(events)
-	bySession := make(map[ids.SessionID][]Interval)
-	for _, iv := range ivs {
-		bySession[iv.Session] = append(bySession[iv.Session], iv)
-	}
-	out := make(map[ids.SessionID][]time.Duration)
-	for sid, list := range bySession {
-		sort.Slice(list, func(i, j int) bool { return list[i].Start.Before(list[j].Start) })
-		first := list[0]
-		covered := first.End
-		if first.open() {
-			covered = until
-		}
-		for _, iv := range list[1:] {
-			if iv.Start.After(covered) {
-				out[sid] = append(out[sid], iv.Start.Sub(covered))
-			}
-			ivEnd := iv.End
-			if iv.open() {
-				ivEnd = until
-			}
-			if ivEnd.After(covered) {
-				covered = ivEnd
-			}
-		}
-	}
-	return out
 }

@@ -137,31 +137,6 @@ func TestCrashThenTakeoverIsNotViolation(t *testing.T) {
 	}
 }
 
-func TestUnavailabilityWindows(t *testing.T) {
-	events := []Event{
-		mk(0, 1, KindPromote, 1),
-		mk(100, 1, KindCrash, 0),
-		mk(400, 2, KindPromote, 1), // 300ms gap
-	}
-	w := UnavailabilityWindows(events, base.Add(time.Second))
-	gaps := w[1]
-	if len(gaps) != 1 || gaps[0] != 300*time.Millisecond {
-		t.Errorf("gaps = %v, want [300ms]", gaps)
-	}
-}
-
-func TestUnavailabilityNoGapOnCleanHandover(t *testing.T) {
-	events := []Event{
-		mk(0, 1, KindPromote, 1),
-		mk(100, 1, KindDemote, 1),
-		mk(100, 2, KindPromote, 1),
-	}
-	w := UnavailabilityWindows(events, base.Add(time.Second))
-	if len(w[1]) != 0 {
-		t.Errorf("gaps = %v, want none", w[1])
-	}
-}
-
 func TestPostCrashPromoteIgnored(t *testing.T) {
 	// An isolated (crashed) node that keeps promoting itself in its own
 	// partition is not live service and must not create intervals.
