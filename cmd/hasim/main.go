@@ -33,29 +33,30 @@ import (
 )
 
 func main() {
+	var cfg sim.Config
+	flag.Int64Var(&cfg.Seed, "seed", 1, "PRNG seed driving chaos expansion, network jitter, and workload pacing")
+	flag.IntVar(&cfg.Nodes, "nodes", 5, "server count")
+	flag.IntVar(&cfg.Clients, "clients", 0, "client session count (0 = nodes/2)")
+	flag.IntVar(&cfg.Backups, "backups", 1, "backups per session group (the paper's B)")
+	flag.DurationVar(&cfg.Propagation, "propagation", 0, "context propagation period (the paper's T; 0 = 2s)")
+	flag.DurationVar(&cfg.Virtual, "virtual", 5*time.Minute, "virtual duration of the run")
+	flag.BoolVar(&cfg.WAL, "wal", true, "durable unit databases (warm restart recovers from disk)")
+	flag.Float64Var(&cfg.Loss, "loss", 0, "random message-loss probability")
+	flag.StringVar(&cfg.DataDir, "data", "", "WAL data directory (empty = temp dir, removed on exit)")
 	var (
-		seed     = flag.Int64("seed", 1, "PRNG seed driving chaos expansion, network jitter, and workload pacing")
-		nodes    = flag.Int("nodes", 5, "server count")
-		clients  = flag.Int("clients", 0, "client session count (0 = nodes/2)")
-		backups  = flag.Int("backups", 1, "backups per session group (the paper's B)")
-		prop     = flag.Duration("propagation", 0, "context propagation period (the paper's T; 0 = 2s)")
-		virtual  = flag.Duration("virtual", 5*time.Minute, "virtual duration of the run")
-		wal      = flag.Bool("wal", true, "durable unit databases (warm restart recovers from disk)")
-		loss     = flag.Float64("loss", 0, "random message-loss probability")
-		chaos    = flag.String("chaos", "", "chaos schedule JSON (empty = built-in bounded churn)")
-		shrink   = flag.Bool("shrink", false, "on failure, delta-debug the event list to a minimal reproducer")
-		probes   = flag.Int("shrink-probes", 64, "max extra simulation runs the shrinker may spend")
-		events   = flag.Bool("events", false, "print the expanded fault trace before the verdict")
-		dataDir  = flag.String("data", "", "WAL data directory (empty = temp dir, removed on exit)")
-		fdEvery  = flag.Duration("fd-interval", 0, "failure-detector heartbeat interval (0 = 2s)")
-		fdAfter  = flag.Duration("fd-timeout", 0, "failure-detector suspicion timeout (0 = 10s)")
-		ackEvery = flag.Duration("ack-interval", 0, "stability ack interval (0 = 2s)")
+		chaos  = flag.String("chaos", "", "chaos schedule JSON (empty = built-in bounded churn)")
+		shrink = flag.Bool("shrink", false, "on failure, delta-debug the event list to a minimal reproducer")
+		probes = flag.Int("shrink-probes", 64, "max extra simulation runs the shrinker may spend")
+		events = flag.Bool("events", false, "print the expanded fault trace before the verdict")
 	)
 	flag.Parse()
-	if err := run(*seed, *nodes, *clients, *backups, *prop, *virtual, *wal, *loss,
-		*chaos, *shrink, *probes, *events, *dataDir, *fdEvery, *fdAfter, *ackEvery); err != nil {
+	failed, err := run(cfg, *chaos, *shrink, *probes, *events)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "hasim: %v\n", err)
 		os.Exit(2)
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 
@@ -75,56 +76,38 @@ func defaultSchedule(backups int) *sim.Schedule {
 	}}
 }
 
-func run(seed int64, nodes, clients, backups int, prop, virtual time.Duration,
-	wal bool, loss float64, chaosPath string, shrink bool, probes int,
-	printEvents bool, dataDir string, fdEvery, fdAfter, ackEvery time.Duration) error {
-	sched := defaultSchedule(backups)
+// run plays one simulation and reports whether it breached an
+// invariant. It returns instead of exiting, so its deferred cleanup of a
+// temporary data directory always runs.
+func run(cfg sim.Config, chaosPath string, shrink bool, probes int, printEvents bool) (failed bool, err error) {
+	sched := defaultSchedule(cfg.Backups)
 	if chaosPath != "" {
-		var err error
 		if sched, err = sim.LoadSchedule(chaosPath); err != nil {
-			return err
+			return false, err
 		}
 	}
-	if wal && dataDir == "" {
+	if cfg.WAL && cfg.DataDir == "" {
 		tmp, err := os.MkdirTemp("", "hasim-*")
 		if err != nil {
-			return err
+			return false, err
 		}
 		defer os.RemoveAll(tmp)
-		dataDir = tmp
-	}
-	cfg := sim.Config{
-		Seed:        seed,
-		Nodes:       nodes,
-		Clients:     clients,
-		Backups:     backups,
-		Propagation: prop,
-		Virtual:     virtual,
-		WAL:         wal,
-		DataDir:     dataDir,
-		Loss:        loss,
-		FDInterval:  fdEvery,
-		FDTimeout:   fdAfter,
-		AckInterval: ackEvery,
+		cfg.DataDir = tmp
 	}
 
 	start := time.Now()
 	rep, err := sim.Run(cfg, sched)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if printEvents {
 		os.Stdout.Write(sim.Trace(rep.Config, sim.Expand(rep.Config, sched)))
 	}
 	printReport(rep, time.Since(start))
-	if !rep.Failed() {
-		return nil
-	}
-	if shrink {
+	if rep.Failed() && shrink {
 		shrinkFailure(rep.Config, sched, probes)
 	}
-	os.Exit(1)
-	return nil
+	return rep.Failed(), nil
 }
 
 func printReport(rep *sim.Report, wall time.Duration) {

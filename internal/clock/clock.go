@@ -34,6 +34,21 @@ type Clock interface {
 	NewTicker(d time.Duration) Ticker
 }
 
+// Skewable is a clock whose readings can be shifted. An offset moves what
+// Now and every timer and tick value report, not how fast timers run:
+// real clock skew, where the local oscillator measures durations right
+// but absolute readings disagree. The simulator's virtual clock
+// implements it, so an in-process cluster can give each server its own.
+type Skewable interface {
+	Clock
+	// Skewed returns a new clock on the same time base with offset zero.
+	Skewed() Skewable
+	// SetOffset shifts every later reading by d.
+	SetOffset(d time.Duration)
+	// Offset returns the current shift.
+	Offset() time.Duration
+}
+
 // Timer is a stoppable single-shot timer. C returns nil for timers
 // created by AfterFunc, matching time.Timer.
 type Timer interface {

@@ -1,12 +1,16 @@
 // Package cluster runs a framework deployment inside one process: N
-// servers on the in-memory network or on loopback TCP, every server
-// replicating every content unit, with the verbs experiments and load runs
-// need — formation wait, clients, crash and revive, stop and restart from
-// a data directory, joins, per-server registries and services, and the
+// servers on the in-memory network (on the wall clock or a virtual one)
+// or on loopback TCP, every server replicating every content unit, with
+// the verbs experiments, load runs and the simulator need — formation
+// wait, clients, crash and revive, stop and restart from a data
+// directory, joins, per-server registries, services and clocks, and the
 // per-server primary count. A Cluster is a loadgen.Target.
 //
 // Protocol timers and the client request timeout belong to the transport
-// (see Transport.Timers), so runs on the same transport are comparable.
+// and the cluster size (see Transport.Timers), so runs on the same
+// transport are comparable.
+//
+//hafw:simclock
 package cluster
 
 import (
@@ -17,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"hafw/internal/clock"
 	"hafw/internal/core"
 	"hafw/internal/ids"
 	"hafw/internal/loadgen"
@@ -40,25 +45,45 @@ const (
 	// TCP gives every server a loopback tcpnet listener, so bulk frames
 	// share real sockets with heartbeats and total-order traffic.
 	TCP
+	// Virtual is the in-memory network on the virtual clock in
+	// Config.Net.Clock, which must be a clock.Skewable. Servers (each on
+	// its own skewable clock, see Cluster.Clock), clients and WaitFormed
+	// run on it too. New returns without waiting for formation, since
+	// virtual time only moves once the clock's scheduler runs.
+	Virtual
 )
 
-// Timers is a transport's protocol timer profile, multiplied by
-// testutil.TimeScale.
+// Timers is a protocol timer profile.
 type Timers struct {
 	FDInterval, FDTimeout, RoundTimeout, AckInterval time.Duration
 	// RequestTimeout is the client's per-attempt timeout.
 	RequestTimeout time.Duration
+	// IdleTimeout closes sessions without client activity; zero never
+	// does.
+	IdleTimeout time.Duration
 }
 
-// Timers returns the transport's timer profile. The in-memory network
-// runs the compressed experiment timescale; loopback TCP gets more slack
-// for socket scheduling and bulk frames.
-func (k Transport) Timers() Timers {
+// Timers returns the profile a cluster of the given size runs on the
+// transport. The in-memory network runs the compressed experiment
+// timescale and loopback TCP gets more slack for socket scheduling and
+// bulk frames, both multiplied by testutil.TimeScale. The virtual clock
+// runs deployment timescales, which cost nothing there, and above ten
+// servers stretches detection and acks, because heartbeat traffic is
+// quadratic in the cluster size. It closes no idle session: the
+// simulator's audit reads every session's history at the end of a run.
+func (k Transport) Timers(servers int) Timers {
+	if k == Virtual {
+		t := Timers{2 * time.Second, 10 * time.Second, 4 * time.Second, 2 * time.Second, 4 * time.Second, 0}
+		if servers > 10 {
+			t.FDInterval, t.FDTimeout, t.AckInterval = 15*time.Second, 45*time.Second, 3*time.Second
+		}
+		return t
+	}
 	ms := time.Millisecond * time.Duration(testutil.TimeScale)
 	if k == TCP {
-		return Timers{25 * ms, 150 * ms, 250 * ms, 40 * ms, 1000 * ms}
+		return Timers{25 * ms, 150 * ms, 250 * ms, 40 * ms, 1000 * ms, 30 * time.Second}
 	}
-	return Timers{10 * ms, 60 * ms, 100 * ms, 15 * ms, 400 * ms}
+	return Timers{10 * ms, 60 * ms, 100 * ms, 15 * ms, 400 * ms, 30 * time.Second}
 }
 
 // Config parameterizes a cluster.
@@ -84,7 +109,8 @@ type Config struct {
 	// DataDir, if set, gives every server a durable store under
 	// DataDir/p<pid> (interval fsync), so Stop and Restart recover warm.
 	DataDir string
-	// Net tunes the in-memory network (Memnet only).
+	// Net tunes the in-memory network (Memnet and Virtual); its Clock is
+	// the Virtual kind's clock.
 	Net memnet.Config
 }
 
@@ -99,6 +125,7 @@ type Cluster struct {
 	cfg    Config
 	timers Timers
 	units  []ids.UnitName
+	clk    clock.Clock // the wall clock, or Virtual's clock.Skewable
 
 	mu      sync.Mutex
 	pids    []ids.ProcessID
@@ -111,6 +138,7 @@ type Cluster struct {
 // Cluster.mu.
 type node struct {
 	ep       transport.Transport
+	clk      clock.Skewable // Virtual only; kept across restarts
 	reg      *metrics.Registry
 	srv      *core.Server // nil until started and once stopped
 	svcs     map[ids.UnitName]core.Service
@@ -119,9 +147,10 @@ type node struct {
 	down     bool // crashed or stopped
 }
 
-// New brings the cluster up and waits for every unit's content group to
-// form. Every server gets its endpoint before any server starts, so no
-// early heartbeat goes to a peer that does not exist yet.
+// New brings the cluster up and, except on the Virtual kind, waits for
+// every unit's content group to form. Every server gets its endpoint
+// before any server starts, so no early heartbeat goes to a peer that
+// does not exist yet.
 func New(kind Transport, cfg Config) (*Cluster, error) {
 	if cfg.Servers == 0 {
 		cfg.Servers = 3
@@ -140,12 +169,19 @@ func New(kind Transport, cfg Config) (*Cluster, error) {
 		// a long load run must not grow without limit.
 		Tracer:  trace.NewRecorderCapacity(1 << 16),
 		cfg:     cfg,
-		timers:  kind.Timers(),
+		timers:  kind.Timers(cfg.Servers),
+		clk:     clock.Real,
 		nodes:   make(map[ids.ProcessID]*node),
 		addrs:   make(map[ids.EndpointID]string),
 		nextCID: 1000,
 	}
-	if kind == Memnet {
+	if kind == Virtual {
+		if _, ok := cfg.Net.Clock.(clock.Skewable); !ok {
+			return nil, fmt.Errorf("cluster: the virtual kind needs a clock.Skewable in Config.Net.Clock")
+		}
+		c.clk = cfg.Net.Clock
+	}
+	if kind != TCP {
 		c.Net = memnet.New(cfg.Net)
 	}
 	for i := 0; i < cfg.Units; i++ {
@@ -166,9 +202,11 @@ func New(kind Transport, cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if err := c.WaitFormed(30 * time.Second); err != nil {
-		c.Close()
-		return nil, err
+	if kind != Virtual {
+		if err := c.WaitFormed(30 * time.Second); err != nil {
+			c.Close()
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -208,6 +246,11 @@ func (c *Cluster) attach(pid ids.ProcessID) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if old := c.nodes[pid]; old != nil {
+		n.clk = old.clk
+	} else if base, ok := c.clk.(clock.Skewable); ok {
+		n.clk = base.Skewed()
+	}
 	if tcp != nil {
 		c.addrs[self] = tcp.Addr()
 		for other, o := range c.nodes {
@@ -237,7 +280,7 @@ func (c *Cluster) start(pid ids.ProcessID) error {
 			Service:           svcs[u],
 			Backups:           c.cfg.Backups,
 			PropagationPeriod: c.cfg.Propagation,
-			IdleTimeout:       30 * time.Second,
+			IdleTimeout:       c.timers.IdleTimeout,
 		})
 	}
 	var tracer *obs.Tracer
@@ -256,6 +299,7 @@ func (c *Cluster) start(pid ids.ProcessID) error {
 		FDTimeout:    c.timers.FDTimeout,
 		RoundTimeout: c.timers.RoundTimeout,
 		AckInterval:  c.timers.AckInterval,
+		Clock:        n.clk,
 	}
 	if c.cfg.DataDir != "" {
 		// The default interval fsync keeps disk syncs off the event loop:
@@ -318,14 +362,15 @@ func (c *Cluster) AddServer() (ids.ProcessID, error) {
 }
 
 // WaitFormed blocks until every live server sees every live server in
-// every unit's content group.
+// every unit's content group. It polls on the cluster's clock, so on the
+// Virtual kind it must run on a goroutine other than the scheduler's.
 func (c *Cluster) WaitFormed(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	deadline := c.clk.Now().Add(timeout)
 	for !c.formed() {
-		if time.Now().After(deadline) {
+		if c.clk.Now().After(deadline) {
 			return fmt.Errorf("cluster: did not form within %v", timeout)
 		}
-		time.Sleep(5 * time.Millisecond)
+		c.clk.Sleep(5 * time.Millisecond)
 	}
 	return nil
 }
@@ -381,6 +426,10 @@ func (c *Cluster) Server(pid ids.ProcessID) *core.Server { return c.node(pid).sr
 func (c *Cluster) Service(pid ids.ProcessID, unit ids.UnitName) core.Service {
 	return c.node(pid).svcs[unit]
 }
+
+// Clock returns pid's skewable clock on the Virtual kind, nil otherwise.
+// It outlives restarts, so a skew stays with the server.
+func (c *Cluster) Clock(pid ids.ProcessID) clock.Skewable { return c.node(pid).clk }
 
 // Metrics returns pid's registry. A restarted server gets a fresh one, so
 // its counters measure only the rejoin.
@@ -549,6 +598,7 @@ func (c *Cluster) NewClient(onFrom func(from ids.EndpointID)) (*core.Client, err
 		RequestTimeout: c.timers.RequestTimeout,
 		Retries:        6,
 		OnResponseFrom: hook,
+		Clock:          c.clk,
 	})
 }
 

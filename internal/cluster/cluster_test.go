@@ -7,9 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"hafw/internal/clock"
 	"hafw/internal/core"
 	"hafw/internal/ids"
 	"hafw/internal/services/ledger"
+	"hafw/internal/testutil"
+	"hafw/internal/transport/memnet"
 	"hafw/internal/wire"
 )
 
@@ -85,6 +88,43 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTimersProfile pins each kind's timer profile and starts no server.
+// E4, E5 and E10 read the wall-clock memnet profile; the simulator's
+// large runs rely on the virtual profile stretching above ten servers.
+func TestTimersProfile(t *testing.T) {
+	ms := time.Millisecond * time.Duration(testutil.TimeScale)
+	s := time.Second
+	mem := Timers{FDInterval: 10 * ms, FDTimeout: 60 * ms, RoundTimeout: 100 * ms, AckInterval: 15 * ms, RequestTimeout: 400 * ms, IdleTimeout: 30 * s}
+	tcp := Timers{FDInterval: 25 * ms, FDTimeout: 150 * ms, RoundTimeout: 250 * ms, AckInterval: 40 * ms, RequestTimeout: 1000 * ms, IdleTimeout: 30 * s}
+	virtual := Timers{FDInterval: 2 * s, FDTimeout: 10 * s, RoundTimeout: 4 * s, AckInterval: 2 * s, RequestTimeout: 4 * s}
+	large := Timers{FDInterval: 15 * s, FDTimeout: 45 * s, RoundTimeout: 4 * s, AckInterval: 3 * s, RequestTimeout: 4 * s}
+	for _, tc := range []struct {
+		kind    Transport
+		servers int
+		want    Timers
+	}{
+		{Memnet, 3, mem}, {Memnet, 50, mem},
+		{TCP, 3, tcp}, {TCP, 50, tcp},
+		{Virtual, 3, virtual}, {Virtual, 10, virtual},
+		{Virtual, 11, large}, {Virtual, 50, large},
+	} {
+		if got := tc.kind.Timers(tc.servers); got != tc.want {
+			t.Errorf("kind %d, %d servers: %+v, want %+v", tc.kind, tc.servers, got, tc.want)
+		}
+	}
+}
+
+// TestVirtualNeedsSkewableClock checks the virtual kind refuses a clock
+// it cannot give each server a skewable copy of, before starting any.
+func TestVirtualNeedsSkewableClock(t *testing.T) {
+	for _, clk := range []clock.Clock{nil, clock.Real} {
+		if c, err := New(Virtual, Config{Net: memnet.Config{Clock: clk}}); err == nil {
+			c.Close()
+			t.Errorf("clock %v: New succeeded", clk)
+		}
 	}
 }
 

@@ -240,7 +240,7 @@ func E4DuplicateWindow() (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		bound := fps*prop.Seconds() + fps*cluster.Memnet.Timers().AckInterval.Seconds() + 2
+		bound := fps*prop.Seconds() + fps*cluster.Memnet.Timers(3).AckInterval.Seconds() + 2
 		t.AddRow(prop.String(), fmt.Sprintf("%.0f", fps),
 			fmt.Sprintf("%d", st.Duplicates), fmt.Sprintf("%.0f", bound),
 			fmt.Sprintf("%d", st.MissingTotal))
@@ -303,7 +303,7 @@ func E5Takeover() (Table, error) {
 	joinGap := gap.reset()
 	t.AddRow("server join (state exchange + rebalance)", joinGap.String())
 
-	t.AddNote("crash gaps are bounded by failure detection (%v) plus view agreement, not by any state transfer; the join's exchange happens off the critical path of live sessions", cluster.Memnet.Timers().FDTimeout)
+	t.AddNote("crash gaps are bounded by failure detection (%v) plus view agreement, not by any state transfer; the join's exchange happens off the critical path of live sessions", cluster.Memnet.Timers(3).FDTimeout)
 	return t, nil
 }
 

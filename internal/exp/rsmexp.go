@@ -105,7 +105,7 @@ func E10RSM(opsPerNode int) (Table, error) {
 	}
 	nodes := map[ids.ProcessID]*node{}
 	pids := []ids.ProcessID{1, 2, 3}
-	timers := cluster.Memnet.Timers()
+	timers := cluster.Memnet.Timers(3)
 	add := func(pid ids.ProcessID, boot bool) error {
 		ep, err := net.Attach(ids.ProcessEndpoint(pid))
 		if err != nil {

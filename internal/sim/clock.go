@@ -20,20 +20,21 @@ type Clock struct {
 	offset atomic.Int64 // nanoseconds added to Now readings
 }
 
-var _ clock.Clock = (*Clock)(nil)
+var _ clock.Skewable = (*Clock)(nil)
 
 // Clock returns a virtual clock with no skew, for infrastructure shared
 // by all nodes (the network fabric, the chaos driver, clients).
 func (s *Scheduler) Clock() *Clock { return &Clock{s: s} }
 
-// NodeClock returns an independently skewable clock for one node.
-func (s *Scheduler) NodeClock() *Clock { return &Clock{s: s} }
+// Skewed implements clock.Skewable: an unskewed clock on c's scheduler,
+// for one node that chaos can skew on its own.
+func (c *Clock) Skewed() clock.Skewable { return c.s.Clock() }
 
-// SetOffset sets the clock's skew: subsequent Now readings are shifted by
-// d relative to the scheduler's virtual time.
+// SetOffset implements clock.Skewable: subsequent Now readings are
+// shifted by d relative to the scheduler's virtual time.
 func (c *Clock) SetOffset(d time.Duration) { c.offset.Store(int64(d)) }
 
-// Offset returns the current skew.
+// Offset implements clock.Skewable.
 func (c *Clock) Offset() time.Duration { return time.Duration(c.offset.Load()) }
 
 // Now implements clock.Clock.

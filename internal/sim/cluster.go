@@ -7,26 +7,20 @@ import (
 	"sync"
 	"time"
 
+	"hafw/internal/cluster"
 	"hafw/internal/core"
 	"hafw/internal/ids"
 	"hafw/internal/services/ledger"
-	"hafw/internal/store"
 	"hafw/internal/transport/memnet"
 )
 
-// The cluster's protocol timescales. They are deliberately realistic
-// (seconds, not the milliseconds the wall-clock tests squeeze into) —
-// virtual time makes slow timeouts free, and realistic timescales exercise
-// the same timeout arithmetic production would run.
+// The network's latency model. Protocol timers come from the harness's
+// virtual-clock profile (cluster.Virtual.Timers): deployment timescales,
+// seconds rather than the milliseconds the wall-clock tests squeeze into,
+// because virtual time makes slow timeouts free.
 const (
-	simFDInterval   = 2 * time.Second
-	simFDTimeout    = 10 * time.Second
-	simRoundTimeout = 4 * time.Second
-	simAckInterval  = 2 * time.Second
-	simNetLatency   = 2 * time.Millisecond
-	simNetJitter    = 3 * time.Millisecond
-	simCallTimeout  = 4 * time.Second
-	simCallRetries  = 5
+	simNetLatency = 2 * time.Millisecond
+	simNetJitter  = 3 * time.Millisecond
 )
 
 // simTail is the chaos-free recovery window at the end of a run, during
@@ -61,11 +55,6 @@ type Config struct {
 	UpdateEvery time.Duration
 	// SampleEvery is the invariant sampler's period. Zero selects 1s.
 	SampleEvery time.Duration
-	// FDInterval, FDTimeout, and AckInterval override the cluster's
-	// protocol timescales; zero selects the sim defaults (2s, 10s, 2s).
-	// Heartbeat traffic is quadratic in Nodes, so large simulations
-	// stretch FDInterval/FDTimeout the way production deployments do.
-	FDInterval, FDTimeout, AckInterval time.Duration
 }
 
 // tail is the run's recovery window: simTail, clamped to Virtual/2.
@@ -96,43 +85,23 @@ func (cfg Config) withDefaults() Config {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = time.Second
 	}
-	if cfg.FDInterval <= 0 {
-		cfg.FDInterval = simFDInterval
-	}
-	if cfg.FDTimeout <= 0 {
-		cfg.FDTimeout = simFDTimeout
-	}
-	if cfg.AckInterval <= 0 {
-		cfg.AckInterval = simAckInterval
-	}
 	return cfg
 }
 
-// simUnit is the single content unit every simulated server hosts.
-const simUnit ids.UnitName = "simledger"
+// timers is the protocol timer profile the run's servers and clients use.
+func (cfg Config) timers() cluster.Timers { return cluster.Virtual.Timers(cfg.Nodes) }
 
-// node is one simulated server and its private skewable clock.
-type node struct {
-	pid ids.ProcessID
-	clk *Clock
-
-	mu   sync.Mutex
-	srv  *core.Server
-	down bool
-}
-
-// Cluster wires Nodes framework servers, Clients workload drivers, the
-// chaos applier, and the invariant sampler onto one Scheduler. It is the
-// virtual-time sibling of cluster.Cluster: same server bring-up, same WAL
-// warm-restart path, but every timeout, latency, and pause elapses on the
-// simulated clock.
+// Cluster layers the scheduler, Clients workload drivers, the chaos
+// applier, the invariant sampler and the durability audit on an
+// in-process deployment (package cluster) of Nodes servers hosting one
+// ledger unit on the Virtual kind, so every timeout, latency and pause
+// elapses on the scheduler's clock.
 type Cluster struct {
 	cfg   Config
 	sched *Scheduler
-	net   *memnet.Network
 	base  *Clock // unskewed: network, clients, chaos, sampler
-	world []ids.ProcessID
-	nodes map[ids.ProcessID]*node
+	h     *cluster.Cluster
+	unit  ids.UnitName
 	inv   *invariants
 
 	stopOnce sync.Once
@@ -169,7 +138,8 @@ type Cluster struct {
 // the anomaly episode while every server still reports the old stable
 // state.
 func (c *Cluster) minConvergeDelay() time.Duration {
-	return c.cfg.FDTimeout + simRoundTimeout
+	t := c.cfg.timers()
+	return t.FDTimeout + t.RoundTimeout
 }
 
 // ivl is one half-open fault episode; end is meaningful once closed.
@@ -326,7 +296,8 @@ const (
 // call slack) past the ack: until propagation has copied the context to
 // every database, only the B+1 session members hold it.
 func (c *Cluster) classifyLoss(at time.Duration) int {
-	window := c.cfg.Propagation + c.cfg.AckInterval + simCallTimeout
+	t := c.cfg.timers()
+	window := c.cfg.Propagation + t.AckInterval + t.RequestTimeout
 	from, to := at-time.Second, at+window
 	c.tlMu.Lock()
 	defer c.tlMu.Unlock()
@@ -433,135 +404,70 @@ func RunEvents(cfg Config, events []Event) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer c.close()
+	defer c.h.Close()
 	return c.run(events)
 }
 
+// newCluster starts the deployment at virtual time zero. It does not wait
+// for formation: that plays out once the scheduler runs.
 func newCluster(cfg Config) (*Cluster, error) {
 	if cfg.WAL && cfg.DataDir == "" {
 		return nil, fmt.Errorf("sim: WAL requires DataDir")
 	}
 	sched := NewScheduler()
-	base := sched.Clock()
-	net := memnet.New(memnet.Config{
-		Latency: simNetLatency,
-		Jitter:  simNetJitter,
-		Loss:    cfg.Loss,
-		Seed:    cfg.Seed ^ 0x6e65747365656473, // derived, distinct from chaos stream
-		Clock:   base,
-	})
 	c := &Cluster{
 		cfg:      cfg,
 		sched:    sched,
-		net:      net,
-		base:     base,
-		nodes:    make(map[ids.ProcessID]*node),
+		base:     sched.Clock(),
 		openDown: make(map[ids.ProcessID]int),
 		stopC:    make(chan struct{}),
 	}
-	for i := 1; i <= cfg.Nodes; i++ {
-		c.world = append(c.world, ids.ProcessID(i))
+	hcfg := cluster.Config{
+		Servers:     cfg.Nodes,
+		Backups:     cfg.Backups,
+		Propagation: cfg.Propagation,
+		Service:     func(ids.UnitName) core.Service { return ledger.New() },
+		Net: memnet.Config{
+			Latency: simNetLatency,
+			Jitter:  simNetJitter,
+			Loss:    cfg.Loss,
+			Seed:    cfg.Seed ^ 0x6e65747365656473, // derived, distinct from chaos stream
+			Clock:   c.base,
+		},
 	}
+	if cfg.WAL {
+		hcfg.DataDir = cfg.DataDir
+	}
+	h, err := cluster.New(cluster.Virtual, hcfg)
+	if err != nil {
+		return nil, err
+	}
+	c.h, c.unit = h, h.Units()[0]
 	c.inv = newInvariants(c)
-	for _, pid := range c.world {
-		n := &node{pid: pid, clk: sched.NodeClock()}
-		c.nodes[pid] = n
-		if err := c.startServer(n); err != nil {
-			return nil, err
-		}
-	}
 	return c, nil
 }
 
-// startServer attaches and starts one framework server on the node's own
-// clock. It is called at cluster bring-up and from the warm-restart path;
-// both run on the scheduler goroutine or before Run starts, and Start
-// does not block on virtual time.
-func (c *Cluster) startServer(n *node) error {
-	ep, err := c.net.Attach(ids.ProcessEndpoint(n.pid))
-	if err != nil {
-		return err
-	}
-	cfg := core.Config{
-		Self:      n.pid,
-		Transport: ep,
-		World:     c.world,
-		Units: []core.UnitConfig{{
-			Unit:              simUnit,
-			Service:           ledger.New(),
-			Backups:           c.cfg.Backups,
-			PropagationPeriod: c.cfg.Propagation,
-		}},
-		FDInterval:   c.cfg.FDInterval,
-		FDTimeout:    c.cfg.FDTimeout,
-		RoundTimeout: simRoundTimeout,
-		AckInterval:  c.cfg.AckInterval,
-		Clock:        n.clk,
-	}
-	if c.cfg.WAL {
-		cfg.DataDir = fmt.Sprintf("%s/p%d", c.cfg.DataDir, n.pid)
-		cfg.Fsync = store.FsyncAlways
-	}
-	srv, err := core.NewServer(cfg)
-	if err != nil {
-		return err
-	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	n.srv = srv
-	n.down = false
-	n.mu.Unlock()
-	return nil
-}
-
-// stopServer crashes a node: the network drops its traffic and the
-// process stops. Its data directory survives for the warm-restart path.
-func (c *Cluster) stopServer(pid ids.ProcessID) {
-	n := c.nodes[pid]
-	n.mu.Lock()
-	srv := n.srv
-	if srv == nil || n.down {
-		n.mu.Unlock()
+// crash stops a running server; its data directory survives for revive.
+func (c *Cluster) crash(pid ids.ProcessID) {
+	if c.h.Server(pid) == nil {
 		return
 	}
-	n.srv = nil
-	n.down = true
-	n.mu.Unlock()
 	c.noteDown(pid)
-	c.net.Crash(ids.ProcessEndpoint(pid))
-	srv.Stop() // detaches the endpoint, so the restart can re-Attach
+	c.h.Stop(pid)
 	c.inv.nodeRestarted(pid)
 }
 
-// restartServer brings a crashed node back: revive the endpoint and start
-// a fresh server process, which recovers its unit database from disk when
-// the cluster runs with WAL.
-func (c *Cluster) restartServer(pid ids.ProcessID) {
-	n := c.nodes[pid]
-	n.mu.Lock()
-	down := n.down
-	n.mu.Unlock()
-	if !down {
+// revive restarts a stopped server, which recovers its unit database from
+// disk when the run has WAL.
+func (c *Cluster) revive(pid ids.ProcessID) {
+	if c.h.Server(pid) != nil {
 		return
 	}
-	c.net.Revive(ids.ProcessEndpoint(pid))
-	if err := c.startServer(n); err != nil {
+	if err := c.h.Restart(pid); err != nil {
 		c.inv.report(c.elapsed(), "harness", fmt.Sprintf("restart of node %d failed: %v", pid, err))
 		return
 	}
 	c.noteUp(pid)
-}
-
-// server returns the live server for pid, or nil while it is down.
-func (n *node) server() *core.Server {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.down {
-		return nil
-	}
-	return n.srv
 }
 
 func (c *Cluster) elapsed() time.Duration { return c.sched.Elapsed() }
@@ -570,11 +476,11 @@ func (c *Cluster) elapsed() time.Duration { return c.sched.Elapsed() }
 func (c *Cluster) apply(ev Event) {
 	switch ev.Kind {
 	case KindCrash:
-		c.stopServer(ids.ProcessID(ev.Node))
+		c.crash(ids.ProcessID(ev.Node))
 	case KindRestart:
 		pid := ids.ProcessID(ev.Node)
-		c.stopServer(pid)
-		c.base.AfterFunc(ev.Down, func() { c.restartServer(pid) })
+		c.crash(pid)
+		c.base.AfterFunc(ev.Down, func() { c.revive(pid) })
 	case KindPartition:
 		sides := make([][]ids.EndpointID, 0, len(ev.Sides))
 		for _, side := range ev.Sides {
@@ -584,18 +490,18 @@ func (c *Cluster) apply(ev Event) {
 			}
 			sides = append(sides, eps)
 		}
-		c.net.Partition(sides...)
+		c.h.Net.Partition(sides...)
 		c.notePartition()
 	case KindHeal:
-		c.net.Heal()
+		c.h.Net.Heal()
 		c.noteHeal()
 	case KindSkew:
-		if n, ok := c.nodes[ids.ProcessID(ev.Node)]; ok && n.clk.Offset() != ev.Offset {
-			n.clk.SetOffset(ev.Offset)
+		if clk := c.h.Clock(ids.ProcessID(ev.Node)); clk != nil && clk.Offset() != ev.Offset {
+			clk.SetOffset(ev.Offset)
 			c.noteSkewTransient()
 		}
 	case KindCutLink:
-		c.net.SetConnected(
+		c.h.Net.SetConnected(
 			ids.ProcessEndpoint(ids.ProcessID(ev.A)),
 			ids.ProcessEndpoint(ids.ProcessID(ev.B)), ev.Up)
 		c.noteCut(ev.Up)
@@ -614,8 +520,8 @@ func (c *Cluster) run(events []Event) (*Report, error) {
 	quiet := c.cfg.Virtual - c.cfg.tail()
 	c.base.AfterFunc(quiet, func() {
 		c.apply(Event{Kind: KindHeal})
-		for _, pid := range c.world {
-			c.restartServer(pid)
+		for _, pid := range c.h.Servers() {
+			c.revive(pid)
 			c.apply(Event{Kind: KindSkew, Node: int(pid), Offset: 0})
 		}
 	})
@@ -626,10 +532,22 @@ func (c *Cluster) run(events []Event) (*Report, error) {
 	})
 	c.inv.start()
 
+	defer func() {
+		for _, cl := range c.clients {
+			cl.c.Close()
+		}
+	}()
 	for i := 0; i < c.cfg.Clients; i++ {
-		cl, err := c.newClient(i)
+		cc, err := c.h.NewClient(nil)
 		if err != nil {
 			return nil, err
+		}
+		cl := &simClient{
+			id:    i,
+			c:     cc,
+			rng:   rand.New(rand.NewSource(c.cfg.Seed ^ int64(0x636c69+i))),
+			acked: make(map[string]int),
+			ackAt: make(map[string]time.Duration),
 		}
 		c.clients = append(c.clients, cl)
 		c.wg.Add(1)
@@ -642,24 +560,4 @@ func (c *Cluster) run(events []Event) (*Report, error) {
 
 	report := c.inv.finish(events)
 	return report, nil
-}
-
-// close tears the cluster down in real time (no virtual waits needed:
-// every loop wakes on its stop channel).
-func (c *Cluster) close() {
-	for _, cl := range c.clients {
-		cl.c.Close()
-	}
-	for _, pid := range c.world {
-		n := c.nodes[pid]
-		n.mu.Lock()
-		srv := n.srv
-		n.srv = nil
-		n.down = true
-		n.mu.Unlock()
-		if srv != nil {
-			srv.Stop()
-		}
-	}
-	c.net.Close()
 }

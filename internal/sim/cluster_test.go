@@ -5,23 +5,31 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"hafw/internal/ids"
 )
 
 // healthySchedule is a chaos script the framework must tolerate with the
 // tested configuration (B=1, WAL): bounded churn that never takes two
-// servers down at once, a clean two-sided partition with heal, and clock
-// skew on one node.
+// servers down at once, one link cut for longer than failure detection
+// and restored, a clean two-sided partition with heal, clock skew on one
+// node, and a rolling restart of every server after the heal. With seed 7
+// on five servers the churn stays clear of the cut and the rolling
+// restart.
 func healthySchedule() *Schedule {
 	return &Schedule{Entries: []Entry{
 		{Kind: KindChurn, FromMS: 30_000, MTTFMS: 120_000, MTTRMS: 15_000, MaxDown: 1},
+		{Kind: KindCutLink, AtMS: 12_000, A: 1, B: 4},
+		{Kind: KindCutLink, AtMS: 25_000, A: 1, B: 4, Up: true},
 		{Kind: KindSkew, AtMS: 40_000, Node: 2, OffsetMS: 30_000},
 		{Kind: KindPartition, AtMS: 70_000, Sides: [][]int{{1, 2}, {3, 4, 5}}},
 		{Kind: KindHeal, AtMS: 100_000},
+		{Kind: KindRollingRestart, FromMS: 102_000, GapMS: 5_000, DownMS: 3_000},
 	}}
 }
 
 func TestClusterSurvivesBoundedChurn(t *testing.T) {
-	rep, err := Run(Config{
+	cfg := Config{
 		Seed:    7,
 		Nodes:   5,
 		Clients: 3,
@@ -29,7 +37,14 @@ func TestClusterSurvivesBoundedChurn(t *testing.T) {
 		Virtual: 4 * time.Minute,
 		WAL:     true,
 		DataDir: t.TempDir(),
-	}, healthySchedule())
+	}.withDefaults()
+	events := Expand(cfg, healthySchedule())
+	c, err := newCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.h.Close()
+	rep, err := c.run(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +59,41 @@ func TestClusterSurvivesBoundedChurn(t *testing.T) {
 	}
 	t.Logf("events=%d samples=%d sent=%d acked=%d dups=%d",
 		rep.Events, rep.Samples, rep.Sent, rep.Acked, rep.Duplicates)
+
+	// Each cut and each rolling restart went through the harness: the cut
+	// opened an anomaly episode that closed once the restored link let
+	// the views re-merge, well before the partition; every server was
+	// down exactly for its rolling-restart window.
+	rolled := 0
+	for _, ev := range events {
+		switch {
+		case ev.Kind == KindCutLink && !ev.Up:
+			if end, ok := closedAt(c.partitions, ev.At); !ok || end >= 70*time.Second {
+				t.Errorf("%v: no anomaly episode from the cut closed before the partition: %+v", ev, c.partitions)
+			}
+		case ev.Kind == KindRestart && ev.At >= 102*time.Second && ev.At < 127*time.Second:
+			rolled++
+			if end, ok := closedAt(c.nodeDowns, ev.At); !ok || end != ev.At+ev.Down {
+				t.Errorf("%v: no outage [%v, %v]: %+v", ev, ev.At, ev.At+ev.Down, c.nodeDowns)
+			}
+		}
+	}
+	if rolled != cfg.Nodes {
+		t.Errorf("rolling restart expanded to %d restarts, want %d", rolled, cfg.Nodes)
+	}
+	if !c.h.Net.Connected(ids.ProcessEndpoint(1), ids.ProcessEndpoint(4)) {
+		t.Error("link 1-4 still cut at the end of the run")
+	}
+}
+
+// closedAt returns when the closed episode that started at start ended.
+func closedAt(ivls []ivl, start time.Duration) (time.Duration, bool) {
+	for _, iv := range ivls {
+		if iv.start == start && !iv.open {
+			return iv.end, true
+		}
+	}
+	return 0, false
 }
 
 // totalWipe restarts every server at the same virtual instant: with B=0
@@ -180,8 +230,8 @@ func TestFastRestartOfPrimaryLosesNothing(t *testing.T) {
 		DataDir: t.TempDir(),
 	}.withDefaults()
 	down := 4687 * time.Millisecond
-	if down >= cfg.FDTimeout {
-		t.Fatalf("restart downtime %v must stay below FDTimeout %v for this scenario", down, cfg.FDTimeout)
+	if fd := cfg.timers().FDTimeout; down >= fd {
+		t.Fatalf("restart downtime %v must stay below FDTimeout %v for this scenario", down, fd)
 	}
 	rep, err := Run(cfg, &Schedule{Entries: []Entry{
 		{Kind: KindRestart, AtMS: 141_949, Node: 1, DownMS: down.Milliseconds()},

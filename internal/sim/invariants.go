@@ -159,8 +159,8 @@ func (v *invariants) sample() {
 	convViews := make(map[string]bool)
 	v.mu.Lock()
 	v.samples++
-	for _, pid := range v.c.world {
-		srv := v.c.nodes[pid].server()
+	for _, pid := range v.c.h.Servers() {
+		srv := v.c.h.Server(pid)
 		if srv == nil {
 			continue
 		}
@@ -169,7 +169,7 @@ func (v *invariants) sample() {
 			convLive++
 			found := false
 			for _, u := range st.Units {
-				if u.Unit == string(simUnit) {
+				if u.Unit == string(v.c.unit) {
 					found = true
 					if u.Synced && !u.ExchangeOpen {
 						convViews[u.View] = true

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hafw/internal/core"
-	"hafw/internal/ids"
 	"hafw/internal/services/ledger"
 	"hafw/internal/wire"
 )
@@ -35,32 +34,6 @@ type simClient struct {
 	dumpErr string
 }
 
-func (c *Cluster) newClient(i int) (*simClient, error) {
-	cid := ids.ClientID(1000 + i)
-	ep, err := c.net.Attach(ids.ClientEndpoint(cid))
-	if err != nil {
-		return nil, err
-	}
-	cc, err := core.NewClient(core.ClientConfig{
-		Self:           cid,
-		Transport:      ep,
-		Servers:        c.world,
-		RequestTimeout: simCallTimeout,
-		Retries:        simCallRetries,
-		Clock:          c.base,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &simClient{
-		id:    i,
-		c:     cc,
-		rng:   rand.New(rand.NewSource(c.cfg.Seed ^ int64(0x636c69+i))),
-		acked: make(map[string]int),
-		ackAt: make(map[string]time.Duration),
-	}, nil
-}
-
 // pause blocks for d of virtual time or until the workload stops; it
 // reports false when stopping.
 func (c *Cluster) pause(d time.Duration) bool {
@@ -81,6 +54,7 @@ func (c *Cluster) pause(d time.Duration) bool {
 // can never outlive the scheduler.
 func (c *Cluster) clientLoop(cl *simClient) {
 	defer c.wg.Done()
+	callTimeout := c.cfg.timers().RequestTimeout
 	echoes := make(chan string, 256)
 	dumps := make(chan []string, 16)
 
@@ -94,7 +68,7 @@ func (c *Cluster) clientLoop(cl *simClient) {
 			return
 		}
 	}
-	sess, err := cl.c.StartSession(simUnit, func(seq uint64, body wire.Message) {
+	sess, err := cl.c.StartSession(c.unit, func(seq uint64, body wire.Message) {
 		switch m := body.(type) {
 		case ledger.Echo:
 			select {
@@ -127,12 +101,12 @@ func (c *Cluster) clientLoop(cl *simClient) {
 		cl.mu.Unlock()
 		if err := sess.Send(ledger.Update{Tag: tag, Echo: true}); err != nil {
 			// Primary unreachable: back off and retry with a fresh tag.
-			if !c.pause(simCallTimeout) {
+			if !c.pause(callTimeout) {
 				break
 			}
 			continue
 		}
-		t := c.base.NewTimer(simCallTimeout)
+		t := c.base.NewTimer(callTimeout)
 	drain:
 		for {
 			select {
@@ -162,7 +136,7 @@ func (c *Cluster) clientLoop(cl *simClient) {
 	// still count — an ack is an ack whenever it arrives.
 	for attempt := 0; attempt < 8; attempt++ {
 		if err := sess.Send(ledger.Dump{}); err == nil {
-			t := c.base.NewTimer(simCallTimeout)
+			t := c.base.NewTimer(callTimeout)
 			select {
 			case tags := <-dumps:
 				t.Stop()

@@ -126,7 +126,7 @@ func TestSleepBlocksInVirtualTime(t *testing.T) {
 
 func TestClockSkewShiftsReadingsNotTimers(t *testing.T) {
 	s := NewScheduler()
-	a, b := s.NodeClock(), s.NodeClock()
+	a, b := s.Clock().Skewed(), s.Clock().Skewed()
 	a.SetOffset(10 * time.Second)
 	if d := a.Now().Sub(b.Now()); d != 10*time.Second {
 		t.Fatalf("skewed delta = %v, want 10s", d)

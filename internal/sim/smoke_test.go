@@ -41,17 +41,15 @@ func TestSimSmoke50Node(t *testing.T) {
 		Virtual: 5 * time.Minute,
 		WAL:     true,
 		DataDir: t.TempDir(),
-		// Large-cluster timescales: heartbeat traffic is quadratic in the
-		// node count, so a 50-node deployment runs slower detection the
-		// way production systems do — and the smoke sweep stays fast. The
-		// ack interval stays short: stability acks bound how much
-		// unstable-message state view-change commits have to carry.
+		// Large-cluster pacing. Above ten servers the harness's profile
+		// also runs slower detection (15s heartbeats, 45s suspicion) the
+		// way production systems do, because heartbeat traffic is
+		// quadratic in the node count, and keeps acks short (3s):
+		// stability acks bound how much unstable-message state
+		// view-change commits have to carry.
 		Propagation: 15 * time.Second,
 		UpdateEvery: 4 * time.Second,
 		SampleEvery: 2 * time.Second,
-		FDInterval:  15 * time.Second,
-		FDTimeout:   45 * time.Second,
-		AckInterval: 3 * time.Second,
 	}, sched)
 	if err != nil {
 		t.Fatal(err)
