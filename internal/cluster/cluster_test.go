@@ -256,3 +256,66 @@ func TestRestartWhileReading(t *testing.T) {
 		})
 	}
 }
+
+// TestDirectoryTracksLiveGroups serves a few thousand sessions on memnet
+// and keeps a handful open. Each ended session's group dissolves, so every
+// server's group directory ends up holding exactly the groups still live
+// somewhere in the cluster: the service group, the content group and the
+// open sessions' groups.
+func TestDirectoryTracksLiveGroups(t *testing.T) {
+	c := newTestCluster(t, Memnet, Config{Servers: 3})
+	const clients, perClient, keep = 8, 400, 4
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		client, err := c.NewClient(nil)
+		if err != nil {
+			t.Fatalf("NewClient: %v", err)
+		}
+		t.Cleanup(func() { _ = client.Close() })
+		wg.Add(1)
+		go func(open bool) {
+			defer wg.Done()
+			for j := 0; j < perClient; j++ {
+				sess, err := client.StartSession(c.Units()[0], nil)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if open && j >= perClient-keep {
+					continue
+				}
+				if err := sess.End(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(i == 0)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	live := func() map[string]bool {
+		out := make(map[string]bool)
+		for _, pid := range c.Live() {
+			for _, g := range c.Server(pid).Status().Groups {
+				out[g.Group] = true
+			}
+		}
+		return out
+	}
+	if got, want := len(live()), 2+keep; got != want {
+		t.Fatalf("live groups = %d (%v), want %d", got, live(), want)
+	}
+	waitFor(t, "directories down to the live groups", func() bool {
+		for _, pid := range c.Live() {
+			if c.Server(pid).Status().DirGroups != 2+keep {
+				return false
+			}
+		}
+		return true
+	})
+}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"hafw/internal/ids"
 	"hafw/internal/unitdb"
@@ -23,7 +23,7 @@ func ContentGroup(unit ids.UnitName) ids.GroupName {
 // Section 3.3: "the group name is computed deterministically by each of
 // the servers").
 func SessionGroup(unit ids.UnitName, sid ids.SessionID) ids.GroupName {
-	return ids.GroupName(fmt.Sprintf("session/%s/%d", unit, sid))
+	return ids.GroupName("session/" + string(unit) + "/" + strconv.FormatUint(uint64(sid), 10))
 }
 
 // --- client → service group ---

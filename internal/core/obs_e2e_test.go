@@ -219,6 +219,9 @@ func TestObservabilityFailoverEndToEnd(t *testing.T) {
 	if len(st.Sessions) == 0 {
 		t.Error("statusz shows no sessions after failover traffic")
 	}
+	if st.DirGroups < len(st.Groups) {
+		t.Errorf("statusz DirGroups = %d, fewer than the %d groups it lists", st.DirGroups, len(st.Groups))
+	}
 
 	// (b) The merged dumps form one cross-node causal timeline. Server spans
 	// alone must link across nodes (state exchange, request fan-out), and

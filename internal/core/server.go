@@ -186,6 +186,7 @@ type sessionRef struct {
 type Server struct {
 	cfg Config
 	reg *metrics.Registry
+	ctr serverCounters
 	clk clock.Clock
 
 	proc *gcs.Process
@@ -198,6 +199,31 @@ type Server struct {
 
 	stop chan struct{}
 	done chan struct{}
+}
+
+// serverCounters are the counters bumped per request, session or
+// propagation, looked up once so those paths skip the registry's lock.
+type serverCounters struct {
+	sessionsStarted, sessionsClosed, drafts                      *metrics.Counter
+	updatesApplied, updatesPrimary, updatesBackup, responsesSent *metrics.Counter
+	propagationsSent, propagationEntriesSent                     *metrics.Counter
+	propagationsApplied, propagationEntriesApplied               *metrics.Counter
+}
+
+func newServerCounters(reg *metrics.Registry) serverCounters {
+	return serverCounters{
+		sessionsStarted:           reg.Counter("sessions_started"),
+		sessionsClosed:            reg.Counter("sessions_closed"),
+		drafts:                    reg.Counter("drafts"),
+		updatesApplied:            reg.Counter("updates_applied"),
+		updatesPrimary:            reg.Counter("updates_applied_primary"),
+		updatesBackup:             reg.Counter("updates_applied_backup"),
+		responsesSent:             reg.Counter("responses_sent"),
+		propagationsSent:          reg.Counter("propagations_sent"),
+		propagationEntriesSent:    reg.Counter("propagation_entries_sent"),
+		propagationsApplied:       reg.Counter("propagations_applied"),
+		propagationEntriesApplied: reg.Counter("propagation_entries_applied"),
+	}
 }
 
 // NewServer wires a server. Call Start to bring it up.
@@ -215,6 +241,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		reg:      reg,
+		ctr:      newServerCounters(reg),
 		clk:      clock.OrReal(cfg.Clock),
 		units:    make(map[ids.UnitName]*unitState),
 		sessions: make(map[ids.GroupName]sessionRef),
@@ -672,7 +699,7 @@ func (s *Server) onStartSessionLocked(u *unitState, from ids.EndpointID, msg Sta
 	primary, backups := u.db.Allocate(sess.ID, u.view.Members, u.cfg.Backups)
 	s.persistLocked(u, store.Record{Op: store.OpCreate, SID: sess.ID, Client: client})
 	s.persistLocked(u, store.Record{Op: store.OpAlloc, SID: sess.ID, Primary: primary, Backups: backups})
-	s.reg.Counter("sessions_started").Inc()
+	s.ctr.sessionsStarted.Inc()
 
 	switch {
 	case primary == s.cfg.Self:
@@ -716,8 +743,8 @@ func (s *Server) onPropagateLocked(u *unitState, msg PropagateCtx) {
 			live.app.Sync(e.Ctx)
 		}
 	}
-	s.reg.Counter("propagations_applied").Inc()
-	s.reg.Counter("propagation_entries_applied").Add(uint64(len(msg.Entries)))
+	s.ctr.propagationsApplied.Inc()
+	s.ctr.propagationEntriesApplied.Add(uint64(len(msg.Entries)))
 }
 
 func (s *Server) onSessionClosedLocked(u *unitState, sid ids.SessionID) {
@@ -728,7 +755,7 @@ func (s *Server) onSessionClosedLocked(u *unitState, sid ids.SessionID) {
 	if live := u.live[sid]; live != nil {
 		s.dropLiveLocked(u, live)
 	}
-	s.reg.Counter("sessions_closed").Inc()
+	s.ctr.sessionsClosed.Inc()
 }
 
 // onStateOfferLocked collects stamp vectors; once every member of the
@@ -862,11 +889,11 @@ func (s *Server) onSessionMsgLocked(u *unitState, sid ids.SessionID, ev gcs.Mess
 			live.resp.setTC(sp.Context())
 		}
 		live.app.ApplyUpdate(msg.Body)
-		s.reg.Counter("updates_applied").Inc()
+		s.ctr.updatesApplied.Inc()
 		if live.role == rolePrimary {
-			s.reg.Counter("updates_applied_primary").Inc()
+			s.ctr.updatesPrimary.Inc()
 		} else {
-			s.reg.Counter("updates_applied_backup").Inc()
+			s.ctr.updatesBackup.Inc()
 		}
 	case EndSession:
 		if live.role != rolePrimary {
@@ -1026,7 +1053,7 @@ func (s *Server) draftLocked(u *unitState, sess *unitdb.Session) *liveSession {
 	group := SessionGroup(u.cfg.Unit, sess.ID)
 	s.sessions[group] = sessionRef{unit: u.cfg.Unit, sid: sess.ID}
 	_ = s.proc.Join(group)
-	s.reg.Counter("drafts").Inc()
+	s.ctr.drafts.Inc()
 	return live
 }
 
@@ -1181,8 +1208,8 @@ func (s *Server) buildPropagationLocked(u *unitState, now time.Time) wire.Messag
 		return nil
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Session < entries[j].Session })
-	s.reg.Counter("propagations_sent").Inc()
-	s.reg.Counter("propagation_entries_sent").Add(uint64(len(entries)))
+	s.ctr.propagationsSent.Inc()
+	s.ctr.propagationEntriesSent.Add(uint64(len(entries)))
 	return PropagateCtx{Unit: u.cfg.Unit, Entries: entries, SentUnixNano: now.UnixNano()}
 }
 
@@ -1221,7 +1248,7 @@ func (r *responder) Send(body wire.Message) bool {
 	tc := r.tc
 	r.mu.Unlock()
 	_ = r.srv.proc.Send(ids.ClientEndpoint(r.client), Response{Session: r.sid, Seq: seq, Body: body, TC: tc})
-	r.srv.reg.Counter("responses_sent").Inc()
+	r.srv.ctr.responsesSent.Inc()
 	return true
 }
 
@@ -1293,7 +1320,7 @@ func (s *Server) Status() obs.NodeStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.clk.Now()
-	st := obs.NodeStatus{Node: uint64(s.cfg.Self)}
+	st := obs.NodeStatus{Node: uint64(s.cfg.Self), DirGroups: s.proc.DirGroups()}
 
 	addGroup := func(v vsync.GroupView) {
 		if v.Group == "" {
@@ -1331,6 +1358,7 @@ func (s *Server) Status() obs.NodeStatus {
 			ExchangeOpen: u.exch != nil,
 			DBSessions:   u.db.Len(),
 			Live:         len(u.live),
+			Tombstones:   u.db.Tombstones(),
 		})
 		sids := make([]ids.SessionID, 0, len(u.live))
 		for sid := range u.live {

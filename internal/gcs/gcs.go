@@ -205,6 +205,10 @@ func (p *Process) GroupsWithPrefix(prefix string) []ids.GroupName {
 	return p.node.GroupsWithPrefix(prefix)
 }
 
+// DirGroups is the number of groups in the local group directory: live
+// groups, not every group this process has seen.
+func (p *Process) DirGroups() int { return p.node.DirGroups() }
+
 // Send transmits a point-to-point message (typically a response to a
 // client), outside any group ordering.
 func (p *Process) Send(to ids.EndpointID, m wire.Message) error {

@@ -15,6 +15,9 @@ type NodeStatus struct {
 	Node uint64 `json:"node"`
 	// Now is the node's wall clock at capture.
 	Now time.Time `json:"now"`
+	// DirGroups counts the groups in the node's group-communication
+	// directory. Dissolved groups leave it, so it tracks live groups.
+	DirGroups int `json:"dir_groups"`
 	// Groups lists the node's current group views at every scale
 	// (service, content, session).
 	Groups []GroupStatus `json:"groups,omitempty"`
@@ -63,6 +66,9 @@ type UnitStatus struct {
 	DBSessions int `json:"db_sessions"`
 	// Live counts this node's live (primary or backup) replicas.
 	Live int `json:"live"`
+	// Tombstones counts the removed sessions the unit database still
+	// remembers. It grows with every session served.
+	Tombstones int `json:"tombstones"`
 }
 
 // SessionStatus is one live session replica at the reporting node.

@@ -4,7 +4,10 @@
 // timers, and the in-memory network's latency model — in simulated time.
 // Five virtual minutes of a fifty-node cluster under churn play out in
 // seconds of wall clock, and every fault the run injects derives from one
-// seeded PRNG, so a failing run is replayed by its seed alone.
+// seeded PRNG, so a failing run's fault trace is replayed by its seed
+// alone. Its workload outcome is not: goroutine work within a quantum is
+// quiesced, not serialized (see below), so acked and duplicate counts can
+// differ between runs of one seed.
 //
 // The package deliberately does NOT carry the //hafw:simclock directive:
 // it is the bridge between virtual and real time, and its quiescence

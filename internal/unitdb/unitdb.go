@@ -142,6 +142,9 @@ func (db *DB) Put(s Session) {
 // Tombstoned reports whether a session was removed.
 func (db *DB) Tombstoned(sid ids.SessionID) bool { return db.tombstones[sid] }
 
+// Tombstones is the number of tombstoned sessions.
+func (db *DB) Tombstones() int { return len(db.tombstones) }
+
 // TombstoneIDs returns all tombstoned session IDs, sorted.
 func (db *DB) TombstoneIDs() []ids.SessionID {
 	out := make([]ids.SessionID, 0, len(db.tombstones))

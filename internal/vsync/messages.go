@@ -220,7 +220,9 @@ type flushState struct {
 	// Pending are messages sent (or forwarded) from here that were never
 	// observed sequenced.
 	Pending []Data
-	// Dir is this process's group directory snapshot.
+	// Dir is this process's group directory snapshot: live groups only.
+	// Install ignores an empty list, which earlier builds sent for every
+	// group that had dissolved.
 	Dir map[ids.GroupName][]ids.ProcessID
 	// Done is the union of the Stable.Done lists received here: the
 	// messages a flush must not deliver again.

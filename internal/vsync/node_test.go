@@ -50,7 +50,7 @@ type eventSink struct {
 	mu     sync.Mutex
 	events []Event
 	// counting, once set, makes the sink count messages instead of
-	// keeping them.
+	// keeping them, and drop view events.
 	counting bool
 	counts   map[ids.GroupName]int
 }
@@ -58,15 +58,17 @@ type eventSink struct {
 func (s *eventSink) on(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if me, ok := e.(MessageEvent); ok && s.counting {
-		s.counts[me.Group]++
+	if s.counting {
+		if me, ok := e.(MessageEvent); ok {
+			s.counts[me.Group]++
+		}
 		return
 	}
 	s.events = append(s.events, e)
 }
 
-// countOnly switches the sink to counting messages, for tests that
-// deliver too many to keep.
+// countOnly switches the sink to counting messages and dropping views,
+// for tests that deliver too many to keep.
 func (s *eventSink) countOnly() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
