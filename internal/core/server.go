@@ -280,7 +280,7 @@ func NewServer(cfg Config) (*Server, error) {
 			u.st, u.db = st, db
 			// A non-empty recovered database is stale until reconciled
 			// with a peer — unless this server is the whole deployment.
-			u.needSync = (db.Len() > 0 || len(db.TombstoneIDs()) > 0) && hasPeers(cfg.World, cfg.Self)
+			u.needSync = (db.Len() > 0 || db.Tombstones() > 0) && hasPeers(cfg.World, cfg.Self)
 			reg.Counter("recovered_sessions").Add(uint64(db.Len()))
 			reg.Counter("recovered_records").Add(uint64(rstats.Replayed))
 			if rstats.Torn {

@@ -9,6 +9,12 @@
 // in-memory network has the same value semantics (and byte accounting) as a
 // real one.
 //
+// Each endpoint's delivery queue is a FIFO whose storage grows with its
+// backlog, so an idle or lightly loaded endpoint holds almost nothing. Two
+// caps bound it, as a congested host's buffers would: an envelope count
+// (Config.QueueLen) and an encoded-byte budget. Envelopes past either are
+// dropped and counted in DroppedQueue.
+//
 // Delivery timing runs on an injectable clock.Clock: under the simulator,
 // every in-flight message becomes a scheduled event on the virtual
 // timeline, drawn from the network's own seeded PRNG.
@@ -25,6 +31,7 @@ import (
 	"hafw/internal/clock"
 	"hafw/internal/ids"
 	"hafw/internal/metrics"
+	"hafw/internal/ring"
 	"hafw/internal/transport"
 	"hafw/internal/wire"
 )
@@ -48,9 +55,11 @@ type Config struct {
 	// Seed seeds the network's private random source, making loss and
 	// jitter reproducible. Zero selects a fixed default seed.
 	Seed int64
-	// QueueLen is the per-endpoint delivery queue length. When a queue is
-	// full further messages to that endpoint are dropped (and counted), as
-	// a congested host would. Zero selects a generous default.
+	// QueueLen caps the number of envelopes waiting in one endpoint's
+	// delivery queue. When a queue holds that many, further messages to
+	// that endpoint are dropped (and counted), as a congested host would.
+	// The queue's storage grows with its backlog, so a large cap costs
+	// nothing until it is used. Zero selects a generous default.
 	QueueLen int
 	// Clock schedules delayed deliveries. Nil means the wall clock; the
 	// simulator injects its virtual clock so latency and jitter elapse in
@@ -64,7 +73,9 @@ type Config struct {
 type Stats struct {
 	// Sent counts envelopes accepted by Send.
 	Sent uint64
-	// Delivered counts envelopes handed to a destination handler.
+	// Delivered counts envelopes accepted into a destination's delivery
+	// queue; a backlog still queued when its endpoint closes is counted
+	// but never reaches the handler.
 	Delivered uint64
 	// DroppedLoss counts envelopes dropped by random loss.
 	DroppedLoss uint64
@@ -137,10 +148,10 @@ func (n *Network) Attach(id ids.EndpointID) (*Endpoint, error) {
 		return nil, fmt.Errorf("memnet: endpoint %s already attached", id)
 	}
 	ep := &Endpoint{
-		net:   n,
-		id:    id,
-		queue: make(chan Envelope, n.cfg.QueueLen),
-		done:  make(chan struct{}),
+		net:    n,
+		id:     id,
+		notify: make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
 	n.endpoints[id] = ep
 	go ep.deliverLoop()
@@ -293,7 +304,8 @@ func (n *Network) send(env Envelope) {
 
 // deliver is the arrival-time half: it rechecks connectivity (the link may
 // have been cut while the message was in flight) and enqueues at the
-// destination, subject to both the envelope-count and byte budgets.
+// destination, subject to both the envelope-count and byte budgets. A
+// queue that was empty wakes its deliver loop.
 func (n *Network) deliver(env Envelope) {
 	n.mu.Lock()
 	if !n.connectedLocked(env.env.From, env.env.To) {
@@ -307,38 +319,37 @@ func (n *Network) deliver(env Envelope) {
 		n.mu.Unlock()
 		return
 	}
-	// Reserve the bytes before enqueueing so concurrent delivers cannot
-	// collectively overshoot the budget. queuedBytes is guarded by n.mu.
-	if dst.queuedBytes+env.size > n.queueBytes {
+	if dst.queue.Len() >= n.cfg.QueueLen || dst.queuedBytes+env.size > n.queueBytes {
 		n.stats.DroppedQueue++
 		n.mu.Unlock()
 		return
 	}
+	dst.queue.Push(env)
 	dst.queuedBytes += env.size
+	n.stats.Delivered++
+	wake := dst.queue.Len() == 1
 	n.mu.Unlock()
 
-	select {
-	case dst.queue <- env:
-		n.mu.Lock()
-		n.stats.Delivered++
-		n.mu.Unlock()
-		dst.countRecv(env.env.Payload.WireName(), env.size)
-	case <-dst.done:
-		n.release(dst, env.size)
-	default:
-		n.mu.Lock()
-		n.stats.DroppedQueue++
-		dst.queuedBytes -= env.size
-		n.mu.Unlock()
+	if wake {
+		select {
+		case dst.notify <- struct{}{}:
+		default: // a wake-up is already pending
+		}
 	}
+	dst.countRecv(env.env.Payload.WireName(), env.size)
 }
 
-// release returns reserved queue bytes after an envelope leaves the queue
-// (or never made it in).
-func (n *Network) release(dst *Endpoint, size int) {
+// dequeue pops the front of dst's queue and releases its bytes. ok is
+// false when the queue was empty; more reports whether entries remain.
+func (n *Network) dequeue(dst *Endpoint) (env Envelope, ok, more bool) {
 	n.mu.Lock()
-	dst.queuedBytes -= size
-	n.mu.Unlock()
+	defer n.mu.Unlock()
+	if dst.queue.Len() == 0 {
+		return Envelope{}, false, false
+	}
+	env = dst.queue.Pop()
+	dst.queuedBytes -= env.size
+	return env, true, dst.queue.Len() > 0
 }
 
 // Envelope pairs a decoded envelope with its encoded size for byte
@@ -365,13 +376,16 @@ type Endpoint struct {
 	// SetMetrics and nil when metrics are off.
 	sendCount, sendBytes, recvCount, recvBytes *metrics.CounterVec
 
-	// queuedBytes is the encoded size of everything sitting in queue,
-	// guarded by net.mu (not e.mu): the network reserves bytes at deliver
-	// time and the deliver loop releases them on dequeue.
+	// queue holds the envelopes waiting for the handler and queuedBytes
+	// their encoded size. Both are guarded by net.mu (not e.mu): the
+	// network enqueues at deliver time and the deliver loop dequeues.
+	queue       ring.Ring[Envelope]
 	queuedBytes int
 
-	queue chan Envelope
-	done  chan struct{}
+	// notify carries one pending wake-up for the deliver loop, sent when
+	// the queue goes from empty to non-empty.
+	notify chan struct{}
+	done   chan struct{}
 }
 
 var _ transport.Transport = (*Endpoint)(nil)
@@ -463,25 +477,39 @@ func (e *Endpoint) Close() error {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	close(e.done)
+	// Detach first, so nothing is enqueued once the loop may have stopped.
 	e.net.detach(e.id)
+	close(e.done)
 	return nil
 }
 
-// deliverLoop runs until Close, invoking the handler sequentially.
+// deliverLoop runs until Close, draining the queue into the handler
+// sequentially each time it is woken. A backlog left at Close is dropped.
 func (e *Endpoint) deliverLoop() {
 	for {
 		select {
-		case env := <-e.queue:
-			e.net.release(e, env.size)
+		case <-e.notify:
+		case <-e.done:
+			return
+		}
+		for more := true; more; {
+			select {
+			case <-e.done:
+				return
+			default:
+			}
+			var env Envelope
+			var ok bool
+			env, ok, more = e.net.dequeue(e)
+			if !ok {
+				break
+			}
 			e.mu.Lock()
 			h := e.handler
 			e.mu.Unlock()
 			if h != nil {
 				h(env.env)
 			}
-		case <-e.done:
-			return
 		}
 	}
 }

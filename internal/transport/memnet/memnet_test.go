@@ -2,6 +2,8 @@ package memnet
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -529,5 +531,204 @@ func TestQueueByteBudget(t *testing.T) {
 			t.Fatal("post-drain message never delivered; budget not released")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// gate is a handler that blocks each delivery until released, recording
+// payload numbers in delivery order.
+type gate struct {
+	entered chan struct{}
+	release chan struct{}
+	mu      sync.Mutex
+	got     []int
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (g *gate) handler(env wire.Envelope) {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.release
+	g.mu.Lock()
+	g.got = append(g.got, env.Payload.(ping).N)
+	g.mu.Unlock()
+}
+
+// open releases n blocked deliveries.
+func (g *gate) open(n int) {
+	for i := 0; i < n; i++ {
+		g.release <- struct{}{}
+	}
+}
+
+func (g *gate) delivered() []int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]int(nil), g.got...)
+}
+
+// blockedPair attaches two endpoints with a gate on the second, sends one
+// message and waits until the gate holds it, so the second endpoint's
+// queue is empty and nothing leaves it until the gate opens.
+func blockedPair(t *testing.T, n *Network) (*Endpoint, *Endpoint, *gate) {
+	t.Helper()
+	a, err := n.Attach(ids.ProcessEndpoint(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.Attach(ids.ProcessEndpoint(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newGate()
+	b.SetHandler(g.handler)
+	if err := a.Send(b.Self(), ping{N: 0}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-g.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("first message never reached the handler")
+	}
+	return a, b, g
+}
+
+// TestQueueLenCap verifies the envelope-count cap: with the receiver's
+// handler blocked, QueueLen envelopes wait and the rest are dropped and
+// counted in DroppedQueue; those that waited are delivered in order.
+func TestQueueLenCap(t *testing.T) {
+	const capacity, sends = 4, 10
+	n := New(Config{QueueLen: capacity})
+	defer n.Close()
+	a, b, g := blockedPair(t, n)
+
+	for i := 1; i <= sends; i++ {
+		if err := a.Send(b.Self(), ping{N: i}); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+	}
+	st := n.Stats()
+	if st.Delivered != 1+capacity || st.DroppedQueue != sends-capacity {
+		t.Fatalf("Delivered = %d, DroppedQueue = %d; want %d and %d",
+			st.Delivered, st.DroppedQueue, 1+capacity, sends-capacity)
+	}
+	g.open(1 + capacity)
+	want := []int{0, 1, 2, 3, 4}
+	deadline := time.Now().Add(2 * time.Second)
+	for len(g.delivered()) < len(want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("handler saw %v, want %v", g.delivered(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, v := range g.delivered() {
+		if v != want[i] {
+			t.Fatalf("delivered %v, want %v", g.delivered(), want)
+		}
+	}
+}
+
+// TestFIFOAcrossQueueGrowth sends 10 k messages behind a blocked handler,
+// opening it part way between batches, so the queue grows while entries
+// leave its front and wraps around its storage. Every message must arrive
+// once, in send order.
+func TestFIFOAcrossQueueGrowth(t *testing.T) {
+	const total = 10000
+	n := New(Config{QueueLen: 1 << 14})
+	defer n.Close()
+	a, b, g := blockedPair(t, n)
+
+	sent := 1
+	for _, step := range []struct{ send, open int }{
+		{3000, 1500}, {4000, 2000}, {total - 7001, 0},
+	} {
+		for i := 0; i < step.send; i++ {
+			if err := a.Send(b.Self(), ping{N: sent}); err != nil {
+				t.Fatalf("Send %d: %v", sent, err)
+			}
+			sent++
+		}
+		g.open(step.open)
+	}
+	g.open(total - 3500)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(g.delivered()) < total {
+		if time.Now().After(deadline) {
+			t.Fatalf("handler saw %d of %d", len(g.delivered()), total)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, v := range g.delivered() {
+		if v != i {
+			t.Fatalf("order broken at %d: got %d", i, v)
+		}
+	}
+	if st := n.Stats(); st.DroppedQueue != 0 || st.Delivered != total {
+		t.Errorf("Delivered = %d, DroppedQueue = %d; want %d and 0", st.Delivered, st.DroppedQueue, total)
+	}
+}
+
+// TestAttachPreallocatesNoQueue pins that QueueLen is only a cap: attaching
+// an endpoint with a 64 Ki-envelope cap allocates far less than one
+// envelope slot per unit of the cap would.
+func TestAttachPreallocatesNoQueue(t *testing.T) {
+	n := New(Config{QueueLen: 1 << 16})
+	defer n.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := n.Attach(ids.ProcessEndpoint(1)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Errorf("Attach allocated %d bytes, want < 64 KiB", grew)
+	}
+}
+
+// deliverLoops counts the goroutines running an endpoint's deliver loop.
+func deliverLoops() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "memnet.(*Endpoint).deliverLoop(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestCloseWithBacklogEndsDeliverLoop closes an endpoint whose handler is
+// blocked with a backlog queued behind it. Once the handler returns, the
+// deliver loop must exit without handing over the backlog.
+func TestCloseWithBacklogEndsDeliverLoop(t *testing.T) {
+	n := New(Config{})
+	defer n.Close()
+	a, b, g := blockedPair(t, n)
+	for i := 1; i <= 100; i++ {
+		if err := a.Send(b.Self(), ping{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g.open(1)
+	deadline := time.Now().Add(2 * time.Second)
+	for deliverLoops() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d deliver loops still running after Close", deliverLoops())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := g.delivered(); len(got) != 1 {
+		t.Errorf("handler saw %d messages after Close with a backlog, want only the one it held", len(got))
 	}
 }

@@ -80,8 +80,8 @@ func TestDedupStateBoundedByStability(t *testing.T) {
 			n := tn.nodes[p]
 			n.mu.Lock()
 			for g, rec := range n.grp {
-				if len(rec.deliveredIDs) > rec.retained.len() {
-					t.Errorf("p%d group %q: %d delivered IDs for %d retained messages", p, g, len(rec.deliveredIDs), rec.retained.len())
+				if len(rec.deliveredIDs) > rec.retained.Len() {
+					t.Errorf("p%d group %q: %d delivered IDs for %d retained messages", p, g, len(rec.deliveredIDs), rec.retained.Len())
 				}
 			}
 			n.mu.Unlock()
@@ -115,7 +115,7 @@ func TestDedupStateBoundedByStability(t *testing.T) {
 		n := tn.nodes[2]
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		return n.grp[tg].retained.len() == 0
+		return n.grp[tg].retained.Len() == 0
 	}, "stability reached the last message")
 	checkBounded()
 
@@ -154,7 +154,7 @@ func TestLateCopyOfStableMessageAckedNotRedelivered(t *testing.T) {
 	tn.pumpUntil(t, func() bool {
 		n2.mu.Lock()
 		defer n2.mu.Unlock()
-		return n2.grp[tg].upTo == 1 && n2.grp[tg].retained.len() == 0 && len(n2.grp[tg].deliveredIDs) == 0
+		return n2.grp[tg].upTo == 1 && n2.grp[tg].retained.Len() == 0 && len(n2.grp[tg].deliveredIDs) == 0
 	}, "message delivered at p2 and stable")
 
 	tn.nodes[2].Handle(client, cs)

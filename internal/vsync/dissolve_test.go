@@ -50,7 +50,7 @@ func settle(t *testing.T, tn *testNet, members []ids.ProcessID) {
 			n.mu.Lock()
 			quiet := len(n.pending) == 0 && len(n.dseqBuf) == 0
 			for _, rec := range n.grp {
-				quiet = quiet && rec.retained.len() == 0
+				quiet = quiet && rec.retained.Len() == 0
 			}
 			if c := n.coord; c != nil {
 				quiet = quiet && len(c.unstable) == 0

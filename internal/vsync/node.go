@@ -9,6 +9,7 @@ import (
 	"hafw/internal/ids"
 	"hafw/internal/membership"
 	"hafw/internal/metrics"
+	"hafw/internal/ring"
 	"hafw/internal/wire"
 )
 
@@ -63,7 +64,7 @@ type groupRecv struct {
 	// view-change flush, as the flush carries them, in Seq order: a group's
 	// messages reach a member in the order they were sequenced, so
 	// stability pops them from the front.
-	retained ring[flushMsg]
+	retained ring.Ring[flushMsg]
 	// deliveredIDs dedups flush deliveries against sequenced ones within
 	// the view. It holds the IDs of retained messages only: stability
 	// drops an ID together with its message, and the node's stableIDs
@@ -144,20 +145,20 @@ func newCoordState() *coordState {
 // destination's stream without gaps. A dseq indexes it directly.
 type sentStream struct {
 	min uint64
-	q   ring[SeqData]
+	q   ring.Ring[SeqData]
 }
 
 // get returns the retained entry for dseq, if any.
 func (h *sentStream) get(dseq uint64) (*SeqData, bool) {
-	if dseq < h.min || dseq-h.min >= uint64(h.q.len()) {
+	if dseq < h.min || dseq-h.min >= uint64(h.q.Len()) {
 		return nil, false
 	}
-	return h.q.at(int(dseq - h.min)), true
+	return h.q.At(int(dseq - h.min)), true
 }
 
 // popFront drops the oldest retained entry.
 func (h *sentStream) popFront() {
-	h.q.pop()
+	h.q.Pop()
 	h.min++
 }
 
@@ -675,12 +676,12 @@ func (n *Node) coordRetainLocked(dest ids.ProcessID, sd SeqData) {
 		h = &sentStream{}
 		c.history[dest] = h
 	}
-	if h.q.len() == 0 {
+	if h.q.Len() == 0 {
 		h.min = sd.DSeq
-	} else if h.q.len() == historyLimit {
+	} else if h.q.Len() == historyLimit {
 		h.popFront()
 	}
-	h.q.push(sd)
+	h.q.Push(sd)
 }
 
 // --- member: delivery ---
@@ -752,7 +753,7 @@ func (n *Node) deliverSeqLocked(sd SeqData) {
 		return
 	}
 	g.deliveredIDs[sd.ID] = true
-	g.retained.push(flushMsg{
+	g.retained.Push(flushMsg{
 		Group: sd.Group, Seq: sd.Seq, ID: sd.ID, From: sd.From,
 		Payload: sd.Payload, BaseSeq: sd.BaseSeq, TC: sd.TC,
 	})
@@ -1110,7 +1111,7 @@ func (n *Node) applyAckLocked(p ids.ProcessID, a Ack) {
 	// Prune the retransmission history up to the member's contiguous
 	// delivery point.
 	if h := c.history[p]; h != nil {
-		for h.q.len() > 0 && h.min <= a.DSeqUpTo {
+		for h.q.Len() > 0 && h.min <= a.DSeqUpTo {
 			h.popFront()
 		}
 	}
@@ -1130,9 +1131,9 @@ func (n *Node) applyStableLocked(st Stable) {
 		if rec == nil {
 			continue
 		}
-		for rec.retained.len() > 0 && rec.retained.at(0).Seq <= seq {
-			delete(rec.deliveredIDs, rec.retained.at(0).ID)
-			rec.retained.pop()
+		for rec.retained.Len() > 0 && rec.retained.At(0).Seq <= seq {
+			delete(rec.deliveredIDs, rec.retained.At(0).ID)
+			rec.retained.Pop()
 		}
 	}
 	if st.MaxDSeq > n.recvMaxDSeq {
@@ -1185,8 +1186,8 @@ func (n *Node) Collect() []byte {
 	}
 	for g, rec := range n.grp {
 		fs.UpTo[g] = rec.upTo
-		for i := 0; i < rec.retained.len(); i++ {
-			fs.Msgs = append(fs.Msgs, *rec.retained.at(i))
+		for i := 0; i < rec.retained.Len(); i++ {
+			fs.Msgs = append(fs.Msgs, *rec.retained.At(i))
 		}
 	}
 	// Buffered-but-undelivered stream entries are knowledge too.
@@ -1518,10 +1519,12 @@ func sortData(ds []Data) {
 // --- event queue ---
 
 // eventQueue is an unbounded FIFO feeding the single dispatch goroutine.
+// Its ring reuses its storage as the dispatcher drains it, so a delivered
+// event is unreachable from the queue once popped.
 type eventQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []Event
+	items  ring.Ring[Event]
 	closed bool
 }
 
@@ -1537,7 +1540,7 @@ func (q *eventQueue) push(e Event) {
 	if q.closed {
 		return
 	}
-	q.items = append(q.items, e)
+	q.items.Push(e)
 	q.cond.Signal()
 }
 
@@ -1551,15 +1554,14 @@ func (q *eventQueue) close() {
 func (q *eventQueue) dispatch(fn func(Event)) {
 	for {
 		q.mu.Lock()
-		for len(q.items) == 0 && !q.closed {
+		for q.items.Len() == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		if len(q.items) == 0 && q.closed {
+		if q.items.Len() == 0 && q.closed {
 			q.mu.Unlock()
 			return
 		}
-		e := q.items[0]
-		q.items = q.items[1:]
+		e := q.items.Pop()
 		q.mu.Unlock()
 		if fn != nil {
 			fn(e)

@@ -975,7 +975,7 @@ func TestNackTriggersRetransmit(t *testing.T) {
 	}
 	n.mu.Lock()
 	h := n.coord.history[2]
-	held, oldest := h.q.len(), h.min
+	held, oldest := h.q.Len(), h.min
 	n.mu.Unlock()
 	if last := uint64(6 + sends); held != historyLimit || oldest != last-historyLimit+1 {
 		t.Errorf("history holds %d entries from dseq %d, want %d from %d", held, oldest, historyLimit, last-historyLimit+1)
@@ -986,15 +986,15 @@ func TestNackTriggersRetransmit(t *testing.T) {
 	// so only this Stable can make them stable.
 	n.mu.Lock()
 	rec := n.grp[tg]
-	kept, keptIDs, upTo := rec.retained.len(), len(rec.deliveredIDs), rec.upTo
+	kept, keptIDs, upTo := rec.retained.Len(), len(rec.deliveredIDs), rec.upTo
 	n.mu.Unlock()
 	if kept != int(upTo) || keptIDs != kept {
 		t.Fatalf("before Stable: %d retained, %d delivered IDs, want %d of each", kept, keptIDs, upTo)
 	}
 	n.Handle(ids.ProcessEndpoint(1), Stable{VID: v.ID, StableTo: map[ids.GroupName]uint64{tg: upTo - 10}})
 	n.mu.Lock()
-	kept, keptIDs = rec.retained.len(), len(rec.deliveredIDs)
-	first := rec.retained.at(0).Seq
+	kept, keptIDs = rec.retained.Len(), len(rec.deliveredIDs)
+	first := rec.retained.At(0).Seq
 	n.mu.Unlock()
 	if kept != 10 || keptIDs != 10 || first != upTo-9 {
 		t.Errorf("after Stable to %d: %d retained from seq %d, %d delivered IDs; want 10 from %d, 10", upTo-10, kept, first, keptIDs, upTo-9)
