@@ -1351,14 +1351,15 @@ func (s *Server) Status() obs.NodeStatus {
 			view = u.view.ID.String()
 		}
 		st.Units = append(st.Units, obs.UnitStatus{
-			Unit:         string(name),
-			Service:      fmt.Sprintf("%T", u.cfg.Service),
-			View:         view,
-			Synced:       !u.needSync,
-			ExchangeOpen: u.exch != nil,
-			DBSessions:   u.db.Len(),
-			Live:         len(u.live),
-			Tombstones:   u.db.Tombstones(),
+			Unit:            string(name),
+			Service:         fmt.Sprintf("%T", u.cfg.Service),
+			View:            view,
+			Synced:          !u.needSync,
+			ExchangeOpen:    u.exch != nil,
+			DBSessions:      u.db.Len(),
+			Live:            len(u.live),
+			Tombstones:      u.db.Tombstones(),
+			TombstoneRanges: u.db.TombstoneRanges(),
 		})
 		sids := make([]ids.SessionID, 0, len(u.live))
 		for sid := range u.live {

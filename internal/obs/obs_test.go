@@ -237,7 +237,7 @@ func TestOpsServerEndpoints(t *testing.T) {
 		Registry: reg,
 		Tracer:   tr,
 		Status: func() NodeStatus {
-			return NodeStatus{Node: 4, DirGroups: 3, Units: []UnitStatus{{Unit: "u", Synced: true, Tombstones: 7}}}
+			return NodeStatus{Node: 4, DirGroups: 3, Units: []UnitStatus{{Unit: "u", Synced: true, Tombstones: 7, TombstoneRanges: 2}}}
 		},
 		Health: func() error { return nil },
 	})
@@ -281,7 +281,7 @@ func TestOpsServerEndpoints(t *testing.T) {
 	if st.TraceDropped == 0 {
 		t.Error("statusz TraceDropped = 0, want > 0")
 	}
-	for _, field := range []string{`"dir_groups": 3`, `"tombstones": 7`} {
+	for _, field := range []string{`"dir_groups": 3`, `"tombstones": 7`, `"tombstone_ranges": 2`} {
 		if !strings.Contains(body, field) {
 			t.Errorf("/statusz missing %s\n---\n%s", field, body)
 		}

@@ -67,8 +67,13 @@ type UnitStatus struct {
 	// Live counts this node's live (primary or backup) replicas.
 	Live int `json:"live"`
 	// Tombstones counts the removed sessions the unit database still
-	// remembers. It grows with every session served.
+	// remembers. The count grows with every session served; what they
+	// cost in memory is TombstoneRanges.
 	Tombstones int `json:"tombstones"`
+	// TombstoneRanges counts the ranges the unit database keeps its
+	// tombstones as: at most one more than its live sessions once the
+	// replicas agree.
+	TombstoneRanges int `json:"tombstone_ranges"`
 }
 
 // SessionStatus is one live session replica at the reporting node.

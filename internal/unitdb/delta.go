@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hafw/internal/ids"
+	"hafw/internal/ranges"
 )
 
 // This file implements delta state transfer for join-time state exchange.
@@ -123,51 +124,43 @@ func (db *DB) DeltaFor(self ids.ProcessID, offers map[ids.ProcessID]Offer) Snaps
 
 	type peerIndex struct {
 		stamps map[ids.SessionID]StampEntry
-		tombs  map[ids.SessionID]bool
+		tombs  ranges.Set
 	}
 	idx := make(map[ids.ProcessID]peerIndex, len(offers))
 	for p, o := range offers {
-		pi := peerIndex{
-			stamps: make(map[ids.SessionID]StampEntry, len(o.Stamps)),
-			tombs:  make(map[ids.SessionID]bool, len(o.Tombstones)),
-		}
+		pi := peerIndex{stamps: make(map[ids.SessionID]StampEntry, len(o.Stamps))}
 		for _, e := range o.Stamps {
 			pi.stamps[e.ID] = e
 		}
-		for _, t := range o.Tombstones {
-			pi.tombs[t] = true
-		}
+		ranges.AddSorted(&pi.tombs, o.Tombstones)
 		idx[p] = pi
 	}
 
-	// Tombstones: designated holder sends to members that lack them.
-	for _, t := range db.TombstoneIDs() {
-		designated, needy := ids.Nil, false
-		for _, p := range members {
-			if idx[p].tombs[t] {
-				if designated == ids.Nil {
-					designated = p
-				}
-			} else {
-				needy = true
-			}
+	// Tombstones: the least member holding one sends it when some member
+	// lacks it. So this member sends those it holds that no lesser member
+	// holds and not every member holds.
+	var lesser, every, anyone ranges.Set
+	for i, p := range members {
+		tombs := idx[p].tombs
+		if p < self {
+			lesser = ranges.Union(lesser, tombs)
 		}
-		if needy && designated == self {
-			out.Tombstones = append(out.Tombstones, t)
+		if i == 0 {
+			every = tombs
+		} else {
+			every = ranges.Intersect(every, tombs)
 		}
+		anyone = ranges.Union(anyone, tombs)
+	}
+	mine := ranges.Intersect(db.tombstones, idx[self].tombs)
+	if send := ranges.Subtract(ranges.Subtract(mine, lesser), every); send.Len() > 0 {
+		out.Tombstones = ranges.Values[ids.SessionID](send)
 	}
 
 	for _, s := range db.Sessions() {
 		// A tombstone anywhere means the session is dead; its holder will
 		// spread the tombstone, so never ship the record.
-		dead := false
-		for _, p := range members {
-			if idx[p].tombs[s.ID] {
-				dead = true
-				break
-			}
-		}
-		if dead {
+		if anyone.Has(uint64(s.ID)) {
 			continue
 		}
 

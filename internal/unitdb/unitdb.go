@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"hafw/internal/ids"
+	"hafw/internal/ranges"
 	"hafw/internal/wire"
 )
 
@@ -86,18 +87,18 @@ type DB struct {
 	// is permanent truth; tombstones let merges (and rejoining replicas
 	// recovering a stale database from disk) distinguish "closed while you
 	// were away" from "never heard of it", instead of resurrecting closed
-	// sessions. They accumulate until PruneTombstones.
-	tombstones map[ids.SessionID]bool
+	// sessions. They are kept as ranges: once the replicas agree, the
+	// closed IDs are every ID up to nextSID bar the live sessions, so the
+	// set costs at most one range per live session however many sessions
+	// were ever served. nTombs counts the IDs in it.
+	tombstones ranges.Set
+	nTombs     int
 	nextSID    uint64
 }
 
 // New creates an empty database for a unit.
 func New(unit ids.UnitName) *DB {
-	return &DB{
-		Unit:       unit,
-		sessions:   make(map[ids.SessionID]*Session),
-		tombstones: make(map[ids.SessionID]bool),
-	}
+	return &DB{Unit: unit, sessions: make(map[ids.SessionID]*Session)}
 }
 
 // Len returns the number of live sessions.
@@ -123,14 +124,16 @@ func (db *DB) Get(sid ids.SessionID) *Session {
 // leaves a tombstone so later merges cannot resurrect it.
 func (db *DB) Remove(sid ids.SessionID) {
 	delete(db.sessions, sid)
-	db.tombstones[sid] = true
+	if db.tombstones.Add(uint64(sid)) {
+		db.nTombs++
+	}
 }
 
 // Put inserts (or replaces) a session record wholesale, advancing the ID
 // counter past it. It is the replay primitive used by the durable store's
 // recovery path; normal operation goes through CreateSession.
 func (db *DB) Put(s Session) {
-	if db.tombstones[s.ID] {
+	if db.Tombstoned(s.ID) {
 		return
 	}
 	db.sessions[s.ID] = s.clone()
@@ -140,28 +143,31 @@ func (db *DB) Put(s Session) {
 }
 
 // Tombstoned reports whether a session was removed.
-func (db *DB) Tombstoned(sid ids.SessionID) bool { return db.tombstones[sid] }
+func (db *DB) Tombstoned(sid ids.SessionID) bool { return db.tombstones.Has(uint64(sid)) }
 
 // Tombstones is the number of tombstoned sessions.
-func (db *DB) Tombstones() int { return len(db.tombstones) }
+func (db *DB) Tombstones() int { return db.nTombs }
 
-// TombstoneIDs returns all tombstoned session IDs, sorted.
-func (db *DB) TombstoneIDs() []ids.SessionID {
-	out := make([]ids.SessionID, 0, len(db.tombstones))
-	for t := range db.tombstones {
-		out = append(out, t)
+// TombstoneRanges is the number of ranges the tombstones are kept as,
+// which is what they cost in memory.
+func (db *DB) TombstoneRanges() int { return db.tombstones.Len() }
+
+// TombstoneIDs returns all tombstoned session IDs, sorted. Offers,
+// snapshots and checkpoints carry this list.
+func (db *DB) TombstoneIDs() []ids.SessionID { return ranges.Values[ids.SessionID](db.tombstones) }
+
+// addTombstones tombstones every ID of a sorted list and drops the
+// records it closes. A closed session never comes back, whatever order
+// merges arrive in.
+func (db *DB) addTombstones(list []ids.SessionID) {
+	added := ranges.AddSorted(&db.tombstones, list)
+	if added == 0 {
+		return
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// PruneTombstones drops tombstones for sessions with IDs below the given
-// bound (an operator/GC hook: once every replica that could still carry a
-// live record below the bound has merged, the tombstones are dead weight).
-func (db *DB) PruneTombstones(before ids.SessionID) {
-	for t := range db.tombstones {
-		if t < before {
-			delete(db.tombstones, t)
+	db.nTombs += int(added)
+	for sid := range db.sessions {
+		if db.Tombstoned(sid) {
+			delete(db.sessions, sid)
 		}
 	}
 }
@@ -475,10 +481,8 @@ func (db *DB) Restore(snap Snapshot) {
 		s := snap.Sessions[i].clone()
 		db.sessions[s.ID] = s
 	}
-	db.tombstones = make(map[ids.SessionID]bool, len(snap.Tombstones))
-	for _, t := range snap.Tombstones {
-		db.tombstones[t] = true
-	}
+	db.tombstones, db.nTombs = nil, 0
+	db.addTombstones(snap.Tombstones)
 }
 
 // Merge folds another replica's snapshot into this database (partition
@@ -496,15 +500,11 @@ func (db *DB) Merge(snap Snapshot) {
 	if snap.NextSID > db.nextSID {
 		db.nextSID = snap.NextSID
 	}
-	// Tombstones beat any record, in any merge order: a closed session
-	// never comes back.
-	for _, t := range snap.Tombstones {
-		db.tombstones[t] = true
-		delete(db.sessions, t)
-	}
+	// Tombstones beat any record, in any merge order.
+	db.addTombstones(snap.Tombstones)
 	for i := range snap.Sessions {
 		in := &snap.Sessions[i]
-		if db.tombstones[in.ID] {
+		if db.Tombstoned(in.ID) {
 			continue
 		}
 		cur, ok := db.sessions[in.ID]
@@ -519,7 +519,7 @@ func (db *DB) Merge(snap Snapshot) {
 	for i := range snap.Meta {
 		in := &snap.Meta[i]
 		cur, ok := db.sessions[in.ID]
-		if db.tombstones[in.ID] || !ok || cur.Stamp != in.Stamp {
+		if db.Tombstoned(in.ID) || !ok || cur.Stamp != in.Stamp {
 			// Elision promised every member holds the record at this stamp;
 			// anything else means our copy has moved on, and a contextless
 			// record must never displace a real one.
@@ -611,9 +611,12 @@ func (db *DB) Checksum() [32]byte {
 	}
 	h.Write([]byte(db.Unit))
 	put(db.nextSID)
+	// Equal tombstone sets have equal ranges, since the ranges are
+	// canonical.
 	put(uint64(len(db.tombstones)))
-	for _, t := range db.TombstoneIDs() {
-		put(uint64(t))
+	for _, r := range db.tombstones {
+		put(r.Lo)
+		put(r.Hi)
 	}
 	for _, s := range db.Sessions() {
 		put(uint64(s.ID))

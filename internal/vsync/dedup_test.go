@@ -2,7 +2,6 @@ package vsync
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -10,56 +9,6 @@ import (
 	"hafw/internal/membership"
 	"hafw/internal/wire"
 )
-
-// TestSeqRangesMatchesASet checks the range set against a plain set under
-// random insertions of values and ranges, and that a dense set collapses
-// to one range.
-func TestSeqRangesMatchesASet(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for round := 0; round < 200; round++ {
-		var r seqRanges
-		want := make(map[uint64]bool)
-		for i := 0; i < 100; i++ {
-			s := 1 + uint64(rng.Intn(60))
-			if i%4 == 3 {
-				hi := s + uint64(rng.Intn(5))
-				r.addRange(s, hi)
-				for x := s; x <= hi; x++ {
-					want[x] = true
-				}
-				continue
-			}
-			if added := r.add(s); added == want[s] {
-				t.Fatalf("round %d: add(%d) = %v with the value present=%v", round, s, added, want[s])
-			}
-			want[s] = true
-		}
-		for s := uint64(0); s < 70; s++ {
-			if r.has(s) != want[s] {
-				t.Fatalf("round %d: has(%d) = %v, want %v", round, s, r.has(s), want[s])
-			}
-		}
-		for i := 1; i < len(r); i++ {
-			if r[i].lo <= r[i-1].hi+1 {
-				t.Fatalf("round %d: ranges %v overlap or touch", round, r)
-			}
-		}
-		n := 0
-		for _, x := range r {
-			n += int(x.hi - x.lo + 1)
-		}
-		if n != len(want) {
-			t.Fatalf("round %d: ranges hold %d values, want %d", round, n, len(want))
-		}
-	}
-	var r seqRanges
-	for _, s := range rng.Perm(1000) {
-		r.add(uint64(s) + 1)
-	}
-	if len(r) != 1 || r[0] != (seqRange{1, 1000}) {
-		t.Fatalf("dense set = %v, want one range 1..1000", r)
-	}
-}
 
 // TestDedupStateBoundedByStability runs 100 000 client messages, fanned
 // out to every member as a client does, through one 3-member view. The
