@@ -2,8 +2,7 @@
 // of the golang.org/x/tools/go/analysis API surface that this repository's
 // static checkers need. The framework's determinism, locking, and wire
 // invariants (DESIGN.md "Static analysis") are machine-checked by passes
-// built on this package and driven by cmd/halint, either standalone or as
-// a `go vet -vettool` unit checker.
+// built on this package and driven by cmd/halint.
 //
 // The subset implemented here is deliberately small: analyzers, passes,
 // diagnostics with suggested fixes, and object facts (the mechanism that
@@ -38,8 +37,8 @@ type Analyzer struct {
 }
 
 // Fact is an observation about a program object that survives across
-// package boundaries (and, in unitchecker mode, across processes via .vetx
-// files). Implementations must be pointers to gob-encodable structs.
+// package boundaries. Implementations must be pointers to gob-encodable
+// structs.
 type Fact interface {
 	AFact()
 }

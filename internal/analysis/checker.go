@@ -11,7 +11,7 @@ import (
 )
 
 // LoadedPackage bundles the typed syntax of one package, however it was
-// produced (source load, unitchecker config, or analysistest).
+// produced (package load or analysistest).
 type LoadedPackage struct {
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -181,10 +181,4 @@ func collectNolint(lp *LoadedPackage) []nolintDirective {
 		}
 	}
 	return out
-}
-
-// TypeErrorf is a helper for drivers to surface type-check failures in a
-// uniform shape.
-func TypeErrorf(fset *token.FileSet, pkg *types.Package, err error) string {
-	return fmt.Sprintf("%s: typecheck: %v", pkg.Path(), err)
 }

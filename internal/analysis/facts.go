@@ -7,10 +7,11 @@ import (
 	"go/types"
 )
 
-// PackageFacts is the serializable fact table of one analyzed package:
-// analyzer name → object key → gob-encoded fact. The standalone driver
-// keeps tables in memory; unitchecker mode round-trips them through .vetx
-// files so `go vet` can propagate facts between per-package processes.
+// PackageFacts is the fact table of one analyzed package: analyzer name →
+// object key → gob-encoded fact. Encoding on export and decoding on import
+// gives every importer its own copy, so an analyzer may keep or extend a
+// decoded fact (lockorder's lock lists and graph edges are slices) without
+// touching the exporter's.
 type PackageFacts map[string]map[string][]byte
 
 // EncodeFact serializes a fact value for storage in a PackageFacts table.

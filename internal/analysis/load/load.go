@@ -2,8 +2,11 @@
 // trees for analysis. Packages of the current module are parsed and
 // type-checked from source (analyzers need their ASTs); everything else —
 // the standard library, chiefly — is imported from compiler export data
-// that `go list -export` materializes in the build cache. This mirrors
-// what golang.org/x/tools/go/packages does, without the dependency.
+// that `go list -export` materializes in the build cache. Test files are
+// loaded the way the go command compiles them: each requested package
+// also yields its test variant and its external _test package. This
+// mirrors what golang.org/x/tools/go/packages does, without the
+// dependency.
 package load
 
 import (
@@ -52,7 +55,15 @@ type ListPackage struct {
 	Deps       []string
 	Module     *ListModule
 	Error      *ListError
-	DepsOnly   bool `json:"-"` // not a root of the requested patterns
+	// ForTest names the package whose tests this variant is compiled
+	// for; ImportPath then carries the suffix " [ForTest.test]".
+	ForTest string
+	// ImportMap maps an import path in the source to the variant the
+	// package is compiled against.
+	ImportMap map[string]string
+	// DepOnly reports a package that is not a root of the requested
+	// patterns (nor a test package of one).
+	DepOnly bool
 }
 
 // GoList runs `go list -e -json <args>` in dir and decodes the package
@@ -133,6 +144,20 @@ func (imp *Importer) Import(path string) (*types.Package, error) {
 	return imp.gc.Import(path)
 }
 
+// mapped resolves one package's imports through its ImportMap, so a test
+// package sees the variants the go command compiles it against.
+type mapped struct {
+	*Importer
+	importMap map[string]string
+}
+
+func (m mapped) Import(path string) (*types.Package, error) {
+	if v, ok := m.importMap[path]; ok {
+		path = v
+	}
+	return m.Importer.Import(path)
+}
+
 // NewTypesInfo allocates a fully populated types.Info.
 func NewTypesInfo() *types.Info {
 	return &types.Info{
@@ -172,23 +197,18 @@ func CheckFiles(fset *token.FileSet, path string, fileNames []string, imp types.
 	return pkg, nil
 }
 
-// Load lists patterns (plus their dependency closure, with export data)
-// and source-checks every package belonging to the current module, in
-// dependency order. Returned packages whose ListPackage.DepsOnly is true
-// were pulled in only as dependencies of the requested patterns.
+// Load lists patterns with their tests (plus the dependency closure, with
+// export data) and source-checks every package belonging to the current
+// module, in dependency order. A requested package p with test files also
+// yields its test variant "p [p.test]" (GoFiles plus TestGoFiles), its
+// external "p_test [p.test]" package, and every package between the two
+// that the go command recompiles against the test variant. A Package's
+// types.Package path is the plain import path; ListPackage.ImportPath
+// keeps the variant suffix. The generated test mains are skipped.
 func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
-	args := append([]string{"-deps", "-export"}, patterns...)
-	all, err := GoList(dir, args...)
+	all, err := GoList(dir, append([]string{"-deps", "-export", "-test"}, patterns...)...)
 	if err != nil {
 		return nil, nil, err
-	}
-	roots, err := GoList(dir, patterns...)
-	if err != nil {
-		return nil, nil, err
-	}
-	isRoot := make(map[string]bool, len(roots))
-	for _, lp := range roots {
-		isRoot[lp.ImportPath] = true
 	}
 
 	fset := token.NewFileSet()
@@ -202,7 +222,7 @@ func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
 
 	var out []*Package
 	for _, lp := range all { // -deps order: dependencies first
-		if lp.Standard || lp.Module == nil {
+		if lp.Standard || lp.Module == nil || strings.HasSuffix(lp.ImportPath, ".test") {
 			continue
 		}
 		if lp.Error != nil {
@@ -219,11 +239,11 @@ func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
 		if lp.Module.GoVersion != "" {
 			goVersion = "go" + lp.Module.GoVersion
 		}
-		pkg, err := CheckFiles(fset, lp.ImportPath, names, imp, goVersion)
+		path, _, _ := strings.Cut(lp.ImportPath, " ")
+		pkg, err := CheckFiles(fset, path, names, mapped{imp, lp.ImportMap}, goVersion)
 		if err != nil {
 			return nil, nil, err
 		}
-		lp.DepsOnly = !isRoot[lp.ImportPath]
 		pkg.List = lp
 		imp.Provide(lp.ImportPath, pkg.Types)
 		out = append(out, pkg)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"hafw/internal/ids"
+	"hafw/internal/ring"
 	"hafw/internal/wire"
 )
 
@@ -48,8 +49,7 @@ type Tracer struct {
 	next atomic.Uint64
 
 	mu      sync.Mutex
-	ring    []SpanRecord
-	start   int
+	spans   ring.Ring[SpanRecord]
 	cap     int
 	dropped uint64
 }
@@ -159,13 +159,9 @@ func (t *Tracer) RecordSpan(name string, tc wire.TraceContext, start time.Time) 
 func (t *Tracer) record(rec SpanRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.ring) == t.cap {
-		t.ring[t.start] = rec
-		t.start = (t.start + 1) % t.cap
+	if t.spans.PushEvict(rec, t.cap) {
 		t.dropped++
-		return
 	}
-	t.ring = append(t.ring, rec)
 }
 
 // Spans returns the retained completed spans in completion order.
@@ -175,10 +171,7 @@ func (t *Tracer) Spans() []SpanRecord {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanRecord, 0, len(t.ring))
-	out = append(out, t.ring[t.start:]...)
-	out = append(out, t.ring[:t.start]...)
-	return out
+	return t.spans.AppendTo(make([]SpanRecord, 0, t.spans.Len()))
 }
 
 // Dropped returns how many completed spans the ring has evicted.

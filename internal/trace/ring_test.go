@@ -40,38 +40,6 @@ func TestRecorderUnboundedByDefault(t *testing.T) {
 	}
 }
 
-func TestSetCapacityShrinksAndCountsDrops(t *testing.T) {
-	r := NewRecorder()
-	for i := 0; i < 6; i++ {
-		r.Record(ids.ProcessID(i+1), KindUpdate, 1, "")
-	}
-	r.SetCapacity(2)
-	if got := r.Dropped(); got != 4 {
-		t.Fatalf("Dropped after shrink = %d, want 4", got)
-	}
-	evs := r.Events()
-	if len(evs) != 2 || evs[0].Node != 5 || evs[1].Node != 6 {
-		t.Fatalf("retained after shrink = %+v, want nodes 5,6", evs)
-	}
-	// Wrapped state must still report record order after further appends.
-	r.Record(7, KindUpdate, 1, "")
-	evs = r.Events()
-	if len(evs) != 2 || evs[0].Node != 6 || evs[1].Node != 7 {
-		t.Fatalf("retained after wrap = %+v, want nodes 6,7", evs)
-	}
-	// Restoring unbounded growth keeps what remains and stops evicting.
-	r.SetCapacity(0)
-	for i := 0; i < 10; i++ {
-		r.Record(8, KindUpdate, 1, "")
-	}
-	if got := r.Dropped(); got != 5 {
-		t.Fatalf("Dropped after unbounding = %d, want 5", got)
-	}
-	if got := r.Count(""); got != 12 {
-		t.Fatalf("Count after unbounding = %d, want 12", got)
-	}
-}
-
 func TestSpanEvictionCountsAsDropped(t *testing.T) {
 	r := NewRecorderCapacity(1)
 	sp := r.StartSpan(1, 1, "a")

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hafw/internal/ids"
+	"hafw/internal/ring"
 )
 
 // Kind labels a recorded event.
@@ -63,13 +64,12 @@ type Event struct {
 
 // Recorder accumulates events; safe for concurrent use. By default it
 // grows without bound (experiment harnesses want every event); long-running
-// nodes cap it with NewRecorderCapacity or SetCapacity, after which the
-// oldest events are evicted and counted as dropped.
+// nodes cap it with NewRecorderCapacity, after which the oldest events are
+// evicted and counted as dropped.
 type Recorder struct {
 	mu      sync.Mutex
-	events  []Event
-	cap     int // 0 = unbounded
-	start   int // index of the oldest event once the ring has wrapped
+	events  ring.Ring[Event]
+	cap     int // 0 or less = unbounded
 	dropped uint64
 }
 
@@ -78,32 +78,7 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // NewRecorderCapacity creates a recorder that retains at most capacity
 // events, evicting the oldest. capacity <= 0 means unbounded.
-func NewRecorderCapacity(capacity int) *Recorder {
-	r := &Recorder{}
-	r.SetCapacity(capacity)
-	return r
-}
-
-// SetCapacity bounds the recorder to the newest capacity events from now
-// on (0 or negative restores unbounded growth). If more than capacity
-// events are already held, the oldest are evicted immediately and counted
-// as dropped.
-func (r *Recorder) SetCapacity(capacity int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if capacity < 0 {
-		capacity = 0
-	}
-	// Normalize to record order before changing the ring geometry.
-	r.events = r.orderedLocked()
-	r.start = 0
-	r.cap = capacity
-	if capacity > 0 && len(r.events) > capacity {
-		drop := len(r.events) - capacity
-		r.events = append([]Event(nil), r.events[drop:]...)
-		r.dropped += uint64(drop)
-	}
-}
+func NewRecorderCapacity(capacity int) *Recorder { return &Recorder{cap: capacity} }
 
 // Dropped returns how many events have been evicted to honor the capacity.
 func (r *Recorder) Dropped() uint64 {
@@ -114,21 +89,9 @@ func (r *Recorder) Dropped() uint64 {
 
 // appendLocked adds one event, evicting the oldest when at capacity.
 func (r *Recorder) appendLocked(e Event) {
-	if r.cap > 0 && len(r.events) == r.cap {
-		r.events[r.start] = e
-		r.start = (r.start + 1) % r.cap
+	if r.events.PushEvict(e, r.cap) {
 		r.dropped++
-		return
 	}
-	r.events = append(r.events, e)
-}
-
-// orderedLocked returns the retained events in record order.
-func (r *Recorder) orderedLocked() []Event {
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.start:]...)
-	out = append(out, r.events[:r.start]...)
-	return out
 }
 
 // Record appends an event stamped now.
@@ -182,7 +145,7 @@ func (s *Span) End() {
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.orderedLocked()
+	return r.events.AppendTo(make([]Event, 0, r.events.Len()))
 }
 
 // Count returns the number of events of a kind (all kinds if empty).
@@ -190,11 +153,11 @@ func (r *Recorder) Count(kind Kind) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if kind == "" {
-		return len(r.events)
+		return r.events.Len()
 	}
 	n := 0
-	for _, e := range r.events {
-		if e.Kind == kind {
+	for i := 0; i < r.events.Len(); i++ {
+		if r.events.At(i).Kind == kind {
 			n++
 		}
 	}
